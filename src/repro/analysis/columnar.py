@@ -5,18 +5,16 @@ pipeline's memory profile when computed over row objects: grouping
 materializes one list of records per key, so peak memory is O(corpus).
 The reducers here fold :class:`~repro.logs.columnar.RecordBatch`
 streams instead, keeping only per-group counters (site traffic) or
-per-group scalar columns (tau timestamp lists), so peak live state is
-O(sites + bots) — the property the columnar memory benchmark
+per-group column batches (bots) and never one object per record — the
+property the columnar memory benchmark
 (``benchmarks/test_columnar_bench.py``) gates.
 
-Every reducer is the exact semantic twin of its row-based counterpart:
-``site_traffic_batches`` == the row loop in the ``site_traffic`` stage,
-``crawl_delay_sample_batch`` == :func:`repro.analysis.compliance.
-crawl_delay_sample`, and so on.  The compliance functions dispatch here
-automatically when handed a batch, which is what lets row-typed callers
-like :func:`repro.analysis.checkfreq.skipped_check_rows` consume batch
-groups unchanged.  Byte-identical parity with the row path is
-property-tested in ``tests/test_columnar_parity.py``.
+The per-bot groups :func:`group_by_bot` returns are batches, which the
+compliance metrics (:mod:`repro.analysis.compliance`) read column-wise,
+so row-typed callers like
+:func:`repro.analysis.checkfreq.skipped_check_rows` consume them
+unchanged.  Parity with the row-object pipeline is property-tested in
+``tests/test_columnar_parity.py``.
 """
 
 from __future__ import annotations
@@ -26,12 +24,6 @@ from dataclasses import dataclass
 
 from ..logs.columnar import RecordBatch
 from ..logs.schema import is_robots_path
-from ..robots.corpus import V1_CRAWL_DELAY_SECONDS, V2_ALLOWED_ENDPOINT
-from .stats import ProportionSample
-
-#: Prefix form of the v2 allowed endpoint (strip the trailing ``*``;
-#: same derivation as :data:`repro.analysis.compliance._ENDPOINT_PREFIX`).
-_ENDPOINT_PREFIX = V2_ALLOWED_ENDPOINT.rstrip("*")
 
 
 # -- site-level tallies ---------------------------------------------------
@@ -100,11 +92,11 @@ def site_traffic_batches(
 def group_by_bot(batches: Iterable[RecordBatch]) -> dict[str, RecordBatch]:
     """Group a batch stream by standardized bot name, columnar-wise.
 
-    The columnar twin of :func:`repro.logs.preprocess.records_by_bot`:
-    unknowns (``bot_name is None``) are excluded, each group preserves
-    stream order, and groups appear in first-seen order.  No row
-    objects are materialized — each group is itself a batch, which the
-    compliance metrics consume directly via their batch dispatch.
+    Groups like :func:`repro.logs.preprocess.records_by_bot`: unknowns
+    (``bot_name is None``) are excluded, each group preserves stream
+    order, and groups appear in first-seen order.  No row objects are
+    materialized — each group is itself a batch, which the compliance
+    metrics read column-wise.
     """
     grouped: dict[str, RecordBatch] = {}
     for batch in batches:
@@ -121,69 +113,3 @@ def group_by_bot(batches: Iterable[RecordBatch]) -> dict[str, RecordBatch]:
             else:
                 existing.extend(gathered)
     return grouped
-
-
-# -- compliance metrics (§4.2), columnar ----------------------------------
-
-
-def tau_timestamps(batch: RecordBatch) -> dict[tuple[int, str, str], list[float]]:
-    """Per requester tuple tau = (ASN, IP hash, UA), the sorted access
-    timestamps — all the crawl-delay metric needs from a tau group.
-
-    The row path sorts whole records by timestamp (a stable sort, so
-    equal-timestamp records keep arrival order); deltas depend only on
-    the sorted timestamp sequence, so sorting bare floats is exact.
-    """
-    groups: dict[tuple[int, str, str], list[float]] = {}
-    asns = batch.column("asn")
-    ips = batch.column("ip_hash")
-    agents = batch.column("useragent")
-    times = batch.column("timestamp")
-    for row in range(len(batch)):
-        key = (asns[row], ips[row], agents[row])
-        groups.setdefault(key, []).append(times[row])
-    for timestamps in groups.values():
-        timestamps.sort()
-    return groups
-
-
-def crawl_delay_sample_batch(
-    batch: RecordBatch,
-    threshold_seconds: float = V1_CRAWL_DELAY_SECONDS,
-) -> ProportionSample:
-    """Columnar crawl-delay compliance (single-access tuples count as
-    one compliant delta, per the paper)."""
-    compliant = 0
-    total = 0
-    for timestamps in tau_timestamps(batch).values():
-        if len(timestamps) == 1:
-            compliant += 1
-            total += 1
-            continue
-        for earlier, later in zip(timestamps, timestamps[1:]):
-            total += 1
-            if later - earlier >= threshold_seconds:
-                compliant += 1
-    return ProportionSample(successes=compliant, trials=total)
-
-
-def endpoint_sample_batch(batch: RecordBatch) -> ProportionSample:
-    """Columnar endpoint-access compliance (robots.txt or /page-data)."""
-    compliant = 0
-    for path in batch.column("uri_path"):
-        if is_robots_path(path) or path.startswith(_ENDPOINT_PREFIX):
-            compliant += 1
-    return ProportionSample(successes=compliant, trials=len(batch))
-
-
-def disallow_sample_batch(batch: RecordBatch) -> ProportionSample:
-    """Columnar disallow-all compliance (robots.txt only)."""
-    compliant = sum(
-        1 for path in batch.column("uri_path") if is_robots_path(path)
-    )
-    return ProportionSample(successes=compliant, trials=len(batch))
-
-
-def checked_robots_batch(batch: RecordBatch) -> bool:
-    """Columnar "did this bot ever fetch robots.txt" (Table 7)."""
-    return any(is_robots_path(path) for path in batch.column("uri_path"))

@@ -19,26 +19,36 @@ from __future__ import annotations
 
 import enum
 from collections import defaultdict
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
+from operator import attrgetter
 
 from ..logs.columnar import RecordBatch
-from ..logs.schema import LogRecord
+from ..logs.schema import LogRecord, is_robots_path
 from ..robots.corpus import V1_CRAWL_DELAY_SECONDS, V2_ALLOWED_ENDPOINT
-from .columnar import (
-    checked_robots_batch,
-    crawl_delay_sample_batch,
-    disallow_sample_batch,
-    endpoint_sample_batch,
-)
 from .stats import ProportionSample
 
 #: Prefix form of the v2 allowed endpoint (strip the trailing ``*``).
 _ENDPOINT_PREFIX = V2_ALLOWED_ENDPOINT.rstrip("*")
 
-# Each public metric accepts either a row iterable or a RecordBatch;
-# batches dispatch to the columnar twins in repro.analysis.columnar,
-# so grouped batch pipelines reuse row-typed callers like
-# checkfreq.skipped_check_rows unchanged.
+# Each metric accepts a row iterable or a RecordBatch and reads only
+# the plain column values it needs (see _column_values), so one
+# implementation serves row-typed callers and grouped batch pipelines.
+
+
+def _column_values(records: Iterable[LogRecord], *names: str) -> Iterator:
+    """The named columns' values, one item per record, in stream order.
+
+    A batch yields its own columns (zero-copy); rows yield the
+    same-named attributes in one pass, never packed into a batch.  One
+    name yields bare values, several yield tuples.  Only columns whose
+    serialized name is also the :class:`LogRecord` attribute name
+    qualify (``"bytes"``, for one, does not).  RPR005 checks the
+    literal names passed here against the column registry.
+    """
+    if isinstance(records, RecordBatch):
+        columns = [records.column(name) for name in names]
+        return iter(columns[0]) if len(columns) == 1 else zip(*columns)
+    return map(attrgetter(*names), records)
 
 
 class Directive(enum.Enum):
@@ -67,6 +77,26 @@ def tau_groups(
     return dict(groups)
 
 
+def tau_timestamps(
+    records: Iterable[LogRecord],
+) -> dict[tuple[int, str, str], list[float]]:
+    """Per requester tuple tau = (ASN, IP hash, UA), the sorted access
+    timestamps — all the crawl-delay metric needs from a tau group.
+
+    Deltas depend only on the sorted timestamp sequence, so sorting
+    bare floats gives the same deltas as :func:`tau_groups`' stable
+    sort of whole records.
+    """
+    groups: defaultdict[tuple[int, str, str], list[float]] = defaultdict(list)
+    for asn, ip_hash, useragent, timestamp in _column_values(
+        records, "asn", "ip_hash", "useragent", "timestamp"
+    ):
+        groups[(asn, ip_hash, useragent)].append(timestamp)
+    for timestamps in groups.values():
+        timestamps.sort()
+    return dict(groups)
+
+
 def crawl_delay_sample(
     records: Iterable[LogRecord],
     threshold_seconds: float = V1_CRAWL_DELAY_SECONDS,
@@ -76,49 +106,40 @@ def crawl_delay_sample(
     Deltas are computed within each tau tuple; single-access tuples
     contribute one compliant observation (C_tau = 1 per the paper).
     """
-    if isinstance(records, RecordBatch):
-        return crawl_delay_sample_batch(records, threshold_seconds)
     compliant = 0
     total = 0
-    for group in tau_groups(records).values():
-        if len(group) == 1:
+    for timestamps in tau_timestamps(records).values():
+        if len(timestamps) == 1:
             compliant += 1
             total += 1
             continue
-        for earlier, later in zip(group, group[1:]):
-            delta = later.timestamp - earlier.timestamp
+        for earlier, later in zip(timestamps, timestamps[1:]):
             total += 1
-            if delta >= threshold_seconds:
+            if later - earlier >= threshold_seconds:
                 compliant += 1
     return ProportionSample(successes=compliant, trials=total)
 
 
-def _is_endpoint_access(record: LogRecord) -> bool:
-    return record.is_robots_fetch or record.uri_path.startswith(_ENDPOINT_PREFIX)
-
-
 def endpoint_sample(records: Iterable[LogRecord]) -> ProportionSample:
-    """Endpoint-access compliance counts for one bot's records."""
-    if isinstance(records, RecordBatch):
-        return endpoint_sample_batch(records)
+    """Endpoint-access compliance counts for one bot's records
+    (robots.txt or the ``/page-data`` endpoint)."""
     compliant = 0
     total = 0
-    for record in records:
+    for path in _column_values(records, "uri_path"):
         total += 1
-        if _is_endpoint_access(record):
+        if is_robots_path(path) or path.startswith(_ENDPOINT_PREFIX):
             compliant += 1
     return ProportionSample(successes=compliant, trials=total)
 
 
 def disallow_sample(records: Iterable[LogRecord]) -> ProportionSample:
-    """Disallow-all compliance counts for one bot's records."""
-    if isinstance(records, RecordBatch):
-        return disallow_sample_batch(records)
+    """Disallow-all compliance counts for one bot's records
+    (robots.txt only)."""
     compliant = 0
     total = 0
-    for record in records:
+    for path in _column_values(records, "uri_path"):
         total += 1
-        if record.is_robots_fetch:
+        if is_robots_path(path):
             compliant += 1
     return ProportionSample(successes=compliant, trials=total)
 
@@ -139,6 +160,4 @@ def checked_robots(records: Iterable[LogRecord]) -> bool:
 
     Feeds the paper's Table 7 ("Checked robots.txt" per experiment).
     """
-    if isinstance(records, RecordBatch):
-        return checked_robots_batch(records)
-    return any(record.is_robots_fetch for record in records)
+    return any(map(is_robots_path, _column_values(records, "uri_path")))

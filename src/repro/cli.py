@@ -64,7 +64,7 @@ from .logs.io import (
     write_csv,
     write_jsonl,
 )
-from .pipeline.context import RecordSource
+from .pipeline.context import SHARD_BY_CHOICES, RecordSource
 from .reporting.experiments import EXPERIMENTS, run_all, run_experiment
 from .reporting.study import StudyAnalysis
 from .robots.corpus import all_versions, render_version
@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument(
         "--shard-by",
-        choices=("site", "ip"),
+        choices=SHARD_BY_CHOICES,
         default="site",
         help="hash-partition key for sharded analysis",
     )
@@ -178,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--seed", type=int, default=2025)
     report.add_argument("--jobs", type=int, default=1)
     report.add_argument(
-        "--shard-by", choices=("site", "ip"), default="site"
+        "--shard-by", choices=SHARD_BY_CHOICES, default="site"
     )
     report.add_argument("--experiments", nargs="*", default=None, metavar="ID")
     _add_cache_options(report)

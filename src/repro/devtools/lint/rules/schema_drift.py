@@ -27,6 +27,11 @@ _COLUMN_DICT_NAMES = {"columns", "_columns", "_SPEC_BY_NAME"}
 #: Locals holding a serialized row dict (``LogRecord.to_dict`` shape).
 _ROW_DICT_NAMES = {"row"}
 
+#: Callables whose literal string arguments are column names:
+#: ``batch.column(name)`` and the compliance metrics' value reader
+#: ``_column_values(records, *names)``.
+_COLUMN_CALLS = {"column", "_column_values"}
+
 
 def _registry_columns() -> frozenset[str] | None:
     """Valid serialized names, from the live registry."""
@@ -63,14 +68,13 @@ def _check_node(module, node: ast.AST, valid: frozenset[str]):
     # batch.column("name") — any receiver; int indexes (pyarrow) pass.
     if (
         isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "column"
-        and len(node.args) == 1
+        and _callee(node) in _COLUMN_CALLS
         and not node.keywords
     ):
-        name = _literal(node.args[0])
-        if name is not None and name not in valid:
-            yield _finding(module, node.args[0], name)
+        for arg in node.args:
+            name = _literal(arg)
+            if name is not None and name not in valid:
+                yield _finding(module, arg, name)
     # columns["name"] / _SPEC_BY_NAME["name"] / row["name"]
     elif isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name):
         if node.value.id in _COLUMN_DICT_NAMES | _ROW_DICT_NAMES:
@@ -99,6 +103,14 @@ def _check_node(module, node: ast.AST, valid: frozenset[str]):
                     name = _literal(element)
                     if name is not None and name not in valid:
                         yield _finding(module, element, name)
+
+
+def _callee(node: ast.Call) -> str | None:
+    if isinstance(node.func, ast.Attribute):
+        return node.func.attr
+    if isinstance(node.func, ast.Name):
+        return node.func.id
+    return None
 
 
 def _finding(module, node: ast.expr, name: str) -> Finding:

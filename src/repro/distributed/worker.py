@@ -83,6 +83,12 @@ def process_one(
     task = spool.claim(worker_id)
     if task is None:
         return False
+    if spool.has_result(task.id):
+        # Requeued after its result landed: a reaper stole the claim
+        # in the window before the first runner's lease.  Finish the
+        # transition instead of running (and republishing) it again.
+        spool.ack(task.id)
+        return True
     lease = Lease.acquire(spool, task.id, worker_id, ttl)
     heartbeat = Heartbeat(spool, lease, ttl)
     heartbeat.start()

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from ..asn.whois import WhoisClient
 from ..uaparse.categories import BotCategory
 from ..uaparse.registry import BotRegistry, default_registry
+from .columnar import RecordBatch
 from .schema import LogRecord
 
 #: Request-path fragments typical of vulnerability scanners.  An IP
@@ -239,15 +240,18 @@ class ShardPreprocess:
 
 
 def preprocess_shard(
-    records: list[LogRecord], drop_scanners: bool = True
+    batch: RecordBatch, drop_scanners: bool = True
 ) -> ShardPreprocess:
     """Map step: enrich one shard and gather mergeable statistics.
 
     Module-level and argument-picklable, so the sharded executor can
     run it in worker processes; each worker builds its own default
     registry and whois client (both deterministic, so enrichment is
-    identical no matter which worker handles a record).
+    identical no matter which worker handles a record).  The shard
+    arrives as a column batch and is unpacked into rows here, inside
+    the worker, so process and queue executors ship columns.
     """
+    records = batch.to_records()
     preprocessor = Preprocessor()
     if drop_scanners:
         _, totals, probes = scanner_stats(records)

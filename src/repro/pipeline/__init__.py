@@ -19,8 +19,9 @@ the contract:
     concurrently (``config.jobs``).
 
 **Sharding** (:mod:`repro.pipeline.shard`)
-    Deterministic crc32 hash partitioning by site (or IP), an
-    order-restoring merge, and process/thread/inline executors.  The
+    Deterministic crc32 hash partitioning of column batches by site
+    (or IP), an order-restoring merge, and process/thread/inline
+    executors.  The
     parity guarantee — sharded output == sequential output, enforced
     by property tests — is a design invariant: merges consume
     mergeable statistics (counters, sets) and restore original stream
@@ -69,9 +70,7 @@ from .shard import (
     Shard,
     chunk_evenly,
     partition_batches,
-    partition_records,
     restore_order,
-    restore_order_batches,
     run_sharded,
     shard_index,
 )
@@ -85,8 +84,6 @@ from .store import (
     StoreInfo,
     fingerprint_batch,
     fingerprint_batches,
-    fingerprint_records,
-    fingerprint_stream,
 )
 
 __all__ = [
@@ -109,12 +106,8 @@ __all__ = [
     "chunk_evenly",
     "fingerprint_batch",
     "fingerprint_batches",
-    "fingerprint_records",
-    "fingerprint_stream",
     "partition_batches",
-    "partition_records",
     "restore_order",
-    "restore_order_batches",
     "run_sharded",
     "shard_index",
     "stage",

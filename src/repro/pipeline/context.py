@@ -38,6 +38,7 @@ from ..logs.columnar import (
     rows_of,
 )
 from ..logs.schema import LogRecord
+from .shard import SHARD_KEY_COLUMNS
 from .store import (
     ArtifactStore,
     CacheStats,
@@ -45,8 +46,8 @@ from .store import (
     fingerprint_batches,
 )
 
-#: Valid shard-key names (see :mod:`repro.pipeline.shard`).
-SHARD_BY_CHOICES: tuple[str, ...] = ("site", "ip")
+#: Valid shard-key names.
+SHARD_BY_CHOICES: tuple[str, ...] = tuple(SHARD_KEY_COLUMNS)
 
 #: Valid shard executor backends.  ``queue`` dispatches shard work to
 #: a filesystem-spool task queue (:mod:`repro.distributed`) consumed by

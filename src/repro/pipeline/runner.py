@@ -46,7 +46,6 @@ from .store import (
     CACHE_SCHEMA,
     digest_parts,
     fingerprint_batch,
-    fingerprint_records,
     stable_token,
 )
 
@@ -280,11 +279,9 @@ class Pipeline:
         shards: list[Shard] = context.artifact(item.shards_artifact)  # type: ignore[assignment]
         environment = self._environment()
         # Shards carrying an explicit fingerprint (non-record payloads
-        # like scenario cells) key on it directly.  Batch-backed shards
-        # fingerprint straight off their columns; a warm rerun never
-        # materializes a single row object for them.  Row-backed shards
-        # hash a transient batch (fingerprint_records) rather than
-        # caching one on the shard.
+        # like scenario cells) key on it directly; record shards hash
+        # their batch's columns, so a warm rerun never materializes a
+        # single row object.
         keys = [
             digest_parts(
                 "shard",
@@ -293,9 +290,7 @@ class Pipeline:
                 environment,
                 shard.fingerprint
                 if shard.fingerprint is not None
-                else fingerprint_batch(shard.batch)
-                if shard.batch_backed
-                else fingerprint_records(shard.records),
+                else fingerprint_batch(shard.payload),
             )
             for shard in shards
         ]

@@ -6,11 +6,13 @@ Python's builtin ``hash`` — ``hash(str)`` is salted per process
 in every worker and break the sharded == sequential parity guarantee.
 crc32 is stable across processes, platforms and Python versions.
 
-Within a shard, records keep their arrival order and remember their
-original stream positions, so a merge can stitch shard outputs back
-into the exact global order the sequential pipeline sees.  That
-order-restoring merge is what makes the parity guarantee *byte*
-identical instead of merely equivalent-up-to-reordering.
+A record shard's payload is a column batch; row objects exist only
+inside the worker that consumes it.  Within a shard, records keep
+their arrival order and remember their original stream positions, so
+a merge can stitch shard outputs back into the exact global order the
+sequential pipeline sees.  That order-restoring merge is what makes
+the parity guarantee *byte* identical instead of merely
+equivalent-up-to-reordering.
 
 :func:`run_sharded` executes one worker callable per shard payload on
 the configured backend:
@@ -42,25 +44,7 @@ from ..logs.schema import LogRecord
 _P = TypeVar("_P")
 _R = TypeVar("_R")
 
-
-def site_key(record: LogRecord) -> str:
-    """Shard key: the site the record belongs to (``shard_by="site"``)."""
-    return record.sitename
-
-
-def ip_key(record: LogRecord) -> str:
-    """Shard key: the visitor IP hash (``shard_by="ip"``)."""
-    return record.ip_hash
-
-
-SHARD_KEYS: dict[str, Callable[[LogRecord], str]] = {
-    "site": site_key,
-    "ip": ip_key,
-}
-
-#: Shard key name -> the batch column that carries it (the columnar
-#: twin of :data:`SHARD_KEYS`; both must assign identically for the
-#: row and batch partitioners to agree).
+#: Shard key name -> the batch column whose value picks the shard.
 SHARD_KEY_COLUMNS: dict[str, str] = {
     "site": "sitename",
     "ip": "ip_hash",
@@ -73,103 +57,43 @@ def shard_index(key: str, shards: int) -> int:
 
 
 class Shard:
-    """One hash partition of a record stream, dual-backed.
-
-    A shard produced by :func:`partition_records` carries the original
-    row objects (zero copies); one produced by :func:`partition_batches`
-    carries a :class:`RecordBatch` and never saw a row object.  Either
-    backing serves both views — :attr:`records` and :attr:`batch` are
-    lazy properties that cross-materialize on first access, so callers
-    ask for the shape they want and pay only when the backing differs.
+    """One partition of a shard stage's input.
 
     Attributes:
         index: this shard's position in the partition.
-        positions: each record's position in the original stream,
-            parallel to the records — the merge key that restores
-            global order.
+        payload: what the shard worker receives — a
+            :class:`RecordBatch` for a record partition (see
+            :func:`partition_batches`), or any other picklable sequence
+            (e.g. a scenario-matrix cell's spec list).
+        positions: each payload item's position in the original
+            stream, parallel to the payload — the merge key that
+            restores global order.
         fingerprint: optional explicit content key for the per-shard
-            artifact cache.  Record shards derive their key from the
-            record content (see the runner); non-record payloads —
-            e.g. scenario-matrix cells, whose "records" are declarative
-            specs rather than :class:`LogRecord` rows — set this to a
+            artifact cache.  Without one, the runner hashes the
+            payload batch's columns; non-record payloads set it to a
             digest of the payload itself so each shard's cache entry
             keys on exactly what the worker will see.
     """
 
-    __slots__ = ("index", "positions", "fingerprint", "_records", "_batch")
+    __slots__ = ("index", "payload", "positions", "fingerprint")
 
     def __init__(
         self,
         index: int,
-        records: list[LogRecord] | None = None,
-        positions: list[int] | None = None,
-        batch: RecordBatch | None = None,
+        payload: RecordBatch | Sequence[object],
+        positions: list[int],
         fingerprint: str | None = None,
     ) -> None:
         self.index = index
-        self.positions = positions if positions is not None else []
+        self.payload = payload
+        self.positions = positions
         self.fingerprint = fingerprint
-        self._records = records
-        self._batch = batch
-        if records is None and batch is None:
-            self._records = []
-
-    @property
-    def records(self) -> list[LogRecord]:
-        """The shard's rows, in stream order (materialized if needed)."""
-        if self._records is None:
-            assert self._batch is not None
-            self._records = self._batch.to_records()
-        return self._records
-
-    @property
-    def batch(self) -> RecordBatch:
-        """The shard's rows as a column batch (packed if needed)."""
-        if self._batch is None:
-            assert self._records is not None
-            self._batch = RecordBatch.from_records(self._records)
-        return self._batch
-
-    @property
-    def batch_backed(self) -> bool:
-        """True when this shard was partitioned columnar-wise (its
-        batch is the native backing, not a converted copy)."""
-        return self._records is None
 
     def __len__(self) -> int:
-        if self._batch is not None:
-            return len(self._batch)
-        assert self._records is not None
-        return len(self._records)
+        return len(self.payload)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        backing = "batch" if self._records is None else "records"
-        return f"Shard(index={self.index}, records={len(self)}, {backing})"
-
-
-def partition_records(
-    stream: Iterable[LogRecord], shards: int, shard_by: str = "site"
-) -> list[Shard]:
-    """Partition a record stream into ``shards`` deterministic shards.
-
-    Consumes ``stream`` exactly once.  Records with the same shard key
-    always land in the same shard, and every shard preserves the
-    relative order of its records.
-    """
-    if shards < 1:
-        raise PipelineError(f"shard count must be >= 1, got {shards}")
-    try:
-        key = SHARD_KEYS[shard_by]
-    except KeyError:
-        raise PipelineError(
-            f"unknown shard key {shard_by!r}; choose from {sorted(SHARD_KEYS)}"
-        ) from None
-    parts = [Shard(index=i) for i in range(shards)]
-    for position, record in enumerate(stream):
-        shard = parts[shard_index(key(record), shards)]
-        shard.records.append(record)
-        shard.positions.append(position)
-    return parts
+        return f"Shard(index={self.index}, items={len(self)})"
 
 
 def partition_batches(
@@ -177,11 +101,11 @@ def partition_batches(
 ) -> list[Shard]:
     """Partition a batch stream into ``shards`` shards, columnar-wise.
 
-    Assigns rows to shards by hashing the key *column* and gathers them
-    with :meth:`RecordBatch.take` — no row objects are materialized at
-    any point.  The assignment function is identical to
-    :func:`partition_records`, so both partitioners produce the same
-    shard membership and positions for the same records.
+    Consumes ``batches`` exactly once.  Rows are assigned by hashing
+    the key *column* and gathered with :meth:`RecordBatch.take`, so no
+    row objects are materialized.  Rows with the same shard key always
+    land in the same shard, and every shard preserves the relative
+    order of its rows.
     """
     if shards < 1:
         raise PipelineError(f"shard count must be >= 1, got {shards}")
@@ -192,7 +116,7 @@ def partition_batches(
             f"unknown shard key {shard_by!r}; choose from {sorted(SHARD_KEY_COLUMNS)}"
         ) from None
     parts = [
-        Shard(index=i, batch=RecordBatch(), positions=[])
+        Shard(index=i, payload=RecordBatch(), positions=[])
         for i in range(shards)
     ]
     offset = 0
@@ -203,7 +127,7 @@ def partition_batches(
             buckets.setdefault(shard_index(key, shards), []).append(row)
         for index, rows in buckets.items():
             shard = parts[index]
-            shard.batch.extend(batch.take(rows))
+            shard.payload.extend(batch.take(rows))
             shard.positions.extend(offset + row for row in rows)
         offset += len(batch)
     return parts
@@ -251,52 +175,6 @@ def restore_order(
             "records were dropped between partition and merge"
         )
     return merged  # type: ignore[return-value]
-
-
-def restore_order_batches(
-    outputs: Sequence[RecordBatch],
-    positions: Sequence[Sequence[int]],
-    total: int,
-) -> RecordBatch:
-    """Columnar twin of :func:`restore_order`: merge shard batches back
-    into one batch in original stream order, without row objects.
-
-    Enforces the same exactly-once position coverage.
-    """
-    order: list[int | None] = [None] * total
-    filled = 0
-    offsets: list[int] = []
-    running = 0
-    for shard, (batch, where) in enumerate(zip(outputs, positions)):
-        if len(batch) != len(where):
-            raise PipelineError(
-                f"shard {shard}: {len(batch)} output record(s) but "
-                f"{len(where)} position(s); shard workers must return "
-                "exactly one record per input"
-            )
-        offsets.append(running)
-        for row, position in enumerate(where):
-            if not 0 <= position < total:
-                raise PipelineError(
-                    f"shard {shard}: position {position} outside the "
-                    f"stream (total {total})"
-                )
-            if order[position] is not None:
-                raise PipelineError(
-                    f"shard {shard}: duplicate stream position {position}"
-                )
-            order[position] = running + row
-            filled += 1
-        running += len(batch)
-    if filled != total:
-        raise PipelineError(
-            f"merge covered {filled} of {total} stream position(s); "
-            "records were dropped between partition and merge"
-        )
-    combined = RecordBatch()
-    for batch in outputs:
-        combined.extend(batch)
-    return combined.take(order)  # type: ignore[arg-type]
 
 
 def chunk_evenly(items: Sequence[_P], parts: int) -> list[list[_P]]:

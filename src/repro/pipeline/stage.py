@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import Any, Protocol, runtime_checkable
 
 from .context import PipelineContext
 from .shard import Shard, run_sharded
@@ -101,9 +101,10 @@ class ShardStage:
 
     Attributes:
         name: stage/artifact name.
-        worker: picklable callable applied to each shard's record list
-            in a worker (module-level function or ``functools.partial``
-            of one when the executor is ``process``).
+        worker: picklable callable applied to each shard's
+            :attr:`~repro.pipeline.shard.Shard.payload` in a worker
+            (module-level function or ``functools.partial`` of one
+            when the executor is ``process``).
         merge: reduce hook combining the per-shard outputs (ordered by
             shard index) into the stage artifact; receives the context
             so it can read the partition for order restoration.
@@ -116,7 +117,7 @@ class ShardStage:
     """
 
     name: str
-    worker: Callable[[list], object]
+    worker: Callable[[Any], object]
     merge: Callable[[Sequence[object], PipelineContext], object]
     deps: tuple[str, ...] = ("shards",)
     shards_artifact: str = "shards"
@@ -151,14 +152,14 @@ class ShardStage:
             workers = context.config.workers
             return run_sharded_queue(
                 self.worker,
-                [shard.records for shard in shards],
+                [shard.payload for shard in shards],
                 spool=context.config.spool,
                 workers=context.config.jobs if workers is None else workers,
                 stage=self.name,
             )
         return run_sharded(
             self.worker,
-            [shard.records for shard in shards],
+            [shard.payload for shard in shards],
             jobs=context.config.jobs,
             executor=context.config.executor,
         )

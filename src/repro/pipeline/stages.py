@@ -112,9 +112,9 @@ def _preprocess_sequential(
 def _partition_stage(context: PipelineContext):
     """Hash-partition the source, columnar-wise.
 
-    Streams the source as batches into batch-backed shards: no row
-    objects exist until a shard actually has to run its worker, and on
-    a warm (fully cached) run none are ever materialized — per-shard
+    Streams the source as batches into shards whose payloads are
+    batches: rows are materialized only inside the shard worker, and
+    on a warm (fully cached) run none are ever materialized — per-shard
     cache keys hash the shard's columns directly.
     """
     source = context.source
@@ -245,8 +245,7 @@ def _category_table(context: PipelineContext):
 
 def _skipped_checks(context: PipelineContext):
     # Bot groups are gathered columnar-wise (one batch per bot, no row
-    # lists); the compliance metrics consume the batches directly via
-    # their RecordBatch dispatch.
+    # lists); the compliance metrics read each batch's columns.
     directive_by_bot = {
         directive: group_by_bot(iter_batches(records))
         for directive, records in context.artifact("directive_records").items()

@@ -45,7 +45,7 @@ from pathlib import Path
 from typing import Protocol, runtime_checkable
 
 from ..exceptions import ArtifactCorruptionError, PipelineError
-from ..logs.columnar import RecordBatch, iter_batches, rechunk
+from ..logs.columnar import RecordBatch, rechunk
 from ..logs.schema import RAW_COLUMNS
 
 #: Bump to invalidate every cached artifact (on-disk format changes,
@@ -136,11 +136,6 @@ def fingerprint_batch(batch: RecordBatch) -> str:
     return digest.hexdigest()
 
 
-def fingerprint_records(records: Iterable[object]) -> str:
-    """Content hash of a record sequence (row-object convenience)."""
-    return fingerprint_batch(RecordBatch.from_records(records))
-
-
 @dataclass(frozen=True)
 class SourceFingerprint:
     """Chunked identity of one record stream.
@@ -196,19 +191,6 @@ def fingerprint_batches(
         overall.update(piece.encode("ascii"))
     return SourceFingerprint(
         chunks=tuple(chunks), digest=overall.hexdigest(), records=total
-    )
-
-
-def fingerprint_stream(
-    records: Iterable[object], chunk_records: int = DEFAULT_CHUNK_RECORDS
-) -> SourceFingerprint:
-    """Fingerprint a row stream (packs into chunk-sized batches)."""
-    if chunk_records < 1:
-        raise PipelineError(
-            f"chunk_records must be >= 1, got {chunk_records}"
-        )
-    return fingerprint_batches(
-        iter_batches(records, chunk_records), chunk_records
     )
 
 
@@ -425,16 +407,8 @@ class ArtifactStore:
             blob = path.read_bytes()
         except OSError:
             return "miss", None
-        try:
-            if not blob.startswith(_MAGIC):
-                raise ArtifactCorruptionError("bad artifact header")
-            body = blob[len(_MAGIC) :]
-            _stage, _, body = body.partition(b"\n")
-            digest, _, payload = body.partition(b"\n")
-            if hashlib.sha256(payload).hexdigest().encode("ascii") != digest:
-                raise ArtifactCorruptionError("artifact checksum mismatch")
-            value = pickle.loads(payload)
-        except Exception:
+        value = self._decode(blob)
+        if value is _CORRUPT:
             # Torn copy, external truncation, a pre-v2 layout, or an
             # unpicklable payload: drop the file and let the caller
             # recompute + republish.

@@ -56,7 +56,7 @@ def _partition_stage(
     return [
         Shard(
             index=index,
-            records=[spec],  # type: ignore[list-item] -- payload, not rows
+            payload=[spec],
             positions=[index],
             fingerprint=spec.fingerprint(),
         )

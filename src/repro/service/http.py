@@ -177,7 +177,8 @@ class ServiceProtocol(asyncio.Protocol):
 
 def _content_length(lowered_headers: bytes) -> int | None:
     """Content-Length from a lowercased header block (0 when absent,
-    ``None`` when present but unparseable)."""
+    ``None`` when present but not ``1*DIGIT``, per RFC 9110 §8.6 —
+    ``int`` alone would also take ``-5``, ``+5`` and ``1_0``)."""
     marker = lowered_headers.find(b"content-length:")
     if marker < 0:
         return 0
@@ -185,10 +186,8 @@ def _content_length(lowered_headers: bytes) -> int | None:
     value_end = lowered_headers.find(b"\r\n", value_start)
     if value_end < 0:
         value_end = len(lowered_headers)
-    try:
-        return int(lowered_headers[value_start:value_end].strip())
-    except ValueError:
-        return None
+    value = lowered_headers[value_start:value_end].strip()
+    return int(value) if value.isdigit() else None
 
 
 class DecisionHTTPServer:

@@ -105,15 +105,16 @@ class StudyDataset:
     ) -> Iterator["object"]:
         """Deterministic hash shards of the dataset's records.
 
-        Yields :class:`~repro.pipeline.shard.Shard` objects — the same
-        partition the sharded analysis pipeline consumes, so callers
+        Yields :class:`~repro.pipeline.shard.Shard` objects whose
+        payloads are column batches — the same partition the sharded
+        analysis pipeline consumes, so callers
         can feed shards to their own distributed workers while keeping
         the pipeline's parity guarantees (stable crc32 assignment,
         per-shard order preservation, original positions retained).
         """
-        from ..pipeline.shard import partition_records
+        from ..pipeline.shard import partition_batches
 
-        yield from partition_records(self.records, shards, shard_by)
+        yield from partition_batches(self.batches(), shards, shard_by)
 
     def __len__(self) -> int:
         return len(self.records)

@@ -20,6 +20,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.compliance import (
+    checked_robots,
+    crawl_delay_sample,
+    disallow_sample,
+    endpoint_sample,
+)
 from repro.bots.profiles import build_profiles
 from repro.exceptions import PipelineError
 from repro.logs.columnar import RecordBatch, iter_batches
@@ -36,10 +42,7 @@ from repro.pipeline import (
     PipelineConfig,
     RecordSource,
     build_study_pipeline,
-    partition_batches,
-    partition_records,
     restore_order,
-    restore_order_batches,
 )
 
 from repro.simulation import quick_scenario
@@ -173,24 +176,19 @@ def test_batch_source_matches_row_source_sharded(records):
         assert _artifact_bytes(batch, name) == _artifact_bytes(row, name), name
 
 
-@settings(max_examples=10, deadline=None)
-@given(
-    st.lists(record_strategy, min_size=0, max_size=100),
-    st.integers(min_value=2, max_value=6),
-    st.sampled_from(["site", "ip"]),
-)
-def test_batch_partitioner_matches_row_partitioner(records, shards, shard_by):
-    by_rows = partition_records(_copy(records), shards, shard_by=shard_by)
-    by_batches = partition_batches(
-        iter_batches(iter(_copy(records)), 7), shards, shard_by=shard_by
+@settings(max_examples=50, deadline=None)
+@given(st.lists(record_strategy, min_size=0, max_size=120))
+def test_compliance_metrics_agree_on_rows_and_batches(records):
+    batch = RecordBatch.from_records(records)
+    assert crawl_delay_sample(batch) == crawl_delay_sample(records)
+    # Ticks are ~320 s apart, so this threshold splits small deltas
+    # from large ones instead of passing every non-zero delta.
+    assert crawl_delay_sample(batch, 1000.0) == crawl_delay_sample(
+        records, 1000.0
     )
-    assert len(by_rows) == len(by_batches)
-    for row_shard, batch_shard in zip(by_rows, by_batches):
-        assert batch_shard.positions == row_shard.positions
-        assert batch_shard.batch_backed
-        assert [r.to_dict() for r in batch_shard.records] == [
-            r.to_dict() for r in row_shard.records
-        ]
+    assert endpoint_sample(batch) == endpoint_sample(records)
+    assert disallow_sample(batch) == disallow_sample(records)
+    assert checked_robots(batch) == checked_robots(records)
 
 
 # -- format-independent fingerprints --------------------------------------
@@ -328,25 +326,3 @@ class TestRestoreOrderStrictness:
         records = _four_records()
         with pytest.raises(PipelineError, match="exactly one record per input"):
             restore_order([[records[0], records[1]]], [[0]], 4)
-
-    def test_batch_twin_happy_path(self):
-        records = _four_records()
-        outputs = [
-            RecordBatch.from_records([records[1], records[3]]),
-            RecordBatch.from_records([records[0], records[2]]),
-        ]
-        merged = restore_order_batches(outputs, [[1, 3], [0, 2]], 4)
-        assert merged.to_records() == records
-
-    def test_batch_twin_rejects_drops_and_duplicates(self):
-        records = _four_records()
-        one = RecordBatch.from_records([records[0]])
-        with pytest.raises(PipelineError, match="covered 1 of 4"):
-            restore_order_batches([one], [[0]], 4)
-        two = RecordBatch.from_records([records[0], records[0]])
-        with pytest.raises(PipelineError, match="duplicate stream position"):
-            restore_order_batches([two], [[0, 0]], 4)
-        with pytest.raises(PipelineError, match="outside the"):
-            restore_order_batches([one], [[7]], 4)
-        with pytest.raises(PipelineError, match="exactly one record per input"):
-            restore_order_batches([two], [[0]], 4)

@@ -374,6 +374,20 @@ class TestSchemaDriftRPR005:
         assert codes(result) == ["RPR005"]
         assert "sitenames" in result.findings[0].message
 
+    def test_fires_on_unknown_column_values_name(self, tmp_path):
+        result = lint(
+            tmp_path,
+            {
+                "src/repro/metric.py": """
+                def checked(records):
+                    return any(_column_values(records, "asn", "uri_pth"))
+                """
+            },
+            select=["RPR005"],
+        )
+        assert codes(result) == ["RPR005"]
+        assert "uri_pth" in result.findings[0].message
+
     def test_fires_on_unknown_fieldnames_entry(self, tmp_path):
         result = lint(
             tmp_path,

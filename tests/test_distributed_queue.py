@@ -14,6 +14,7 @@ Fault injection — SIGKILLed workers, restarted coordinators — lives in
 
 from __future__ import annotations
 
+import pickle
 import time
 
 import pytest
@@ -230,6 +231,18 @@ class TestWorker:
         )
         assert (tmp_path / "tasks" / "done" / f"{task_id}.json").exists()
         assert Lease.read(spool, task_id) is None  # released
+
+    def test_requeued_task_with_a_result_is_not_rerun(self, tmp_path):
+        # The claim was stolen back after the first run published:
+        # the task is pending again, but its verified result stands.
+        spool = FilesystemSpool(tmp_path)
+        task_id = self._enqueue(spool, exploder, [1])
+        spool.write_result(task_id, pickle.dumps(("ok", [9])))
+        before = (tmp_path / "results" / task_id).stat().st_mtime_ns
+        assert process_one(spool, "w1", ttl=5.0)
+        assert decode_outcome(spool.read_result(task_id)) == ("ok", [9])
+        assert (tmp_path / "results" / task_id).stat().st_mtime_ns == before
+        assert (tmp_path / "tasks" / "done" / f"{task_id}.json").exists()
 
     def test_process_one_idle_returns_false(self, tmp_path):
         assert not process_one(FilesystemSpool(tmp_path), "w1")

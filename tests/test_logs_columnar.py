@@ -36,7 +36,7 @@ from repro.logs.schema import (
     batch_to_records,
     records_to_batch,
 )
-from repro.pipeline.store import fingerprint_stream
+from repro.pipeline.store import fingerprint_batches
 from repro.uaparse.categories import BotCategory
 
 needs_pyarrow = pytest.mark.skipif(
@@ -211,9 +211,12 @@ class TestBatchIO:
         csv_path = tmp_path / "log.csv"
         write_jsonl(records, jsonl)
         convert_log(jsonl, csv_path, "jsonl", "csv")
-        original = fingerprint_stream(read_jsonl(jsonl), chunk_records=3)
-        converted = fingerprint_stream(
-            rows_of(read_batches(csv_path, format="csv")), chunk_records=3
+        original = fingerprint_batches(
+            iter_batches(read_jsonl(jsonl)), chunk_records=3
+        )
+        converted = fingerprint_batches(
+            iter_batches(rows_of(read_batches(csv_path, format="csv"))),
+            chunk_records=3,
         )
         assert converted == original
 
@@ -313,11 +316,9 @@ class TestParquet:
         parquet = tmp_path / "log.parquet"
         write_jsonl(records, jsonl)
         convert_log(jsonl, parquet, "jsonl", "parquet")
-        from repro.pipeline.store import fingerprint_batches
-
         assert fingerprint_batches(
             read_batches(parquet, format="parquet"), chunk_records=3
-        ) == fingerprint_stream(read_jsonl(jsonl), chunk_records=3)
+        ) == fingerprint_batches(iter_batches(read_jsonl(jsonl)), chunk_records=3)
 
 
 @needs_no_pyarrow

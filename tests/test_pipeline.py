@@ -5,6 +5,7 @@ import zlib
 import pytest
 
 from repro.exceptions import PipelineError
+from repro.logs.columnar import iter_batches
 from repro.logs.schema import LogRecord
 from repro.pipeline import (
     FunctionStage,
@@ -12,7 +13,7 @@ from repro.pipeline import (
     PipelineConfig,
     RecordSource,
     chunk_evenly,
-    partition_records,
+    partition_batches,
     run_sharded,
     shard_index,
 )
@@ -182,23 +183,32 @@ class TestRecordSource:
         assert len(list(source.stream())) == 1  # replay via spill
 
 
+def partition(records, shards, shard_by="site"):
+    """Partition rows through small batches (boundaries mid-shard)."""
+    return partition_batches(iter_batches(records, 4), shards, shard_by)
+
+
 class TestSharding:
     def test_partition_is_disjoint_and_complete(self):
         records = [
             make_record(site=f"s{i % 5}.example", when=float(i))
             for i in range(50)
         ]
-        shards = partition_records(records, 3)
+        shards = partition(records, 3)
         assert sum(len(shard) for shard in shards) == 50
         seen = sorted(
             position for shard in shards for position in shard.positions
         )
         assert seen == list(range(50))
+        for shard in shards:
+            assert list(shard.payload.column("timestamp")) == [
+                records[position].timestamp for position in shard.positions
+            ]
 
     def test_same_site_lands_in_same_shard(self):
         records = [make_record(site="x.example") for _ in range(10)]
-        shards = partition_records(records, 4)
-        nonempty = [shard for shard in shards if shard.records]
+        shards = partition(records, 4)
+        nonempty = [shard for shard in shards if shard.payload]
         assert len(nonempty) == 1
 
     def test_shard_assignment_is_crc32(self):
@@ -206,24 +216,27 @@ class TestSharding:
 
     def test_order_preserved_within_shard(self):
         records = [make_record(site="x.example", when=float(i)) for i in range(9)]
-        (shard,) = [
-            shard
-            for shard in partition_records(records, 2)
-            if shard.records
-        ]
-        assert [record.timestamp for record in shard.records] == [
+        (shard,) = [shard for shard in partition(records, 2) if shard.payload]
+        assert [record.timestamp for record in shard.payload.to_records()] == [
             float(i) for i in range(9)
         ]
+        assert shard.positions == list(range(9))
 
     def test_shard_by_ip(self):
-        records = [make_record(ip=f"ip-{i % 3}") for i in range(12)]
-        shards = partition_records(records, 3, shard_by="ip")
+        records = [
+            make_record(site=f"s{i}.example", ip=f"ip-{i % 3}")
+            for i in range(12)
+        ]
+        shards = partition(records, 3, shard_by="ip")
         for shard in shards:
-            assert len({record.ip_hash for record in shard.records}) <= 3
+            ips = list(shard.payload.column("ip_hash"))
+            for ip in set(ips):
+                assert shard_index(ip, 3) == shard.index
+        assert sum(len(shard) for shard in shards) == 12
 
     def test_unknown_shard_key_rejected(self):
         with pytest.raises(PipelineError):
-            partition_records([], 2, shard_by="nope")
+            partition([], 2, shard_by="nope")
 
     def test_chunk_evenly_preserves_order(self):
         chunks = chunk_evenly(list(range(10)), 3)
@@ -303,7 +316,7 @@ class TestDatasetShardIterator:
         shards = list(quick_dataset.iter_shards(4))
         assert sum(len(shard) for shard in shards) == len(quick_dataset)
         sites_per_shard = [
-            {record.sitename for record in shard.records} for shard in shards
+            set(shard.payload.column("sitename")) for shard in shards
         ]
         for left in range(len(sites_per_shard)):
             for right in range(left + 1, len(sites_per_shard)):

@@ -23,15 +23,17 @@ from hypothesis import strategies as st
 
 from repro.bots.profiles import build_profiles
 from repro.exceptions import PipelineError
+from repro.logs.columnar import RecordBatch, iter_batches
 from repro.logs.schema import LogRecord
 from repro.pipeline import (
     ArtifactStore,
     PipelineConfig,
     build_study_pipeline,
-    fingerprint_stream,
+    fingerprint_batch,
+    fingerprint_batches,
 )
 from repro.pipeline.shard import shard_index
-from repro.pipeline.store import fingerprint_records, stable_token
+from repro.pipeline.store import stable_token
 from repro.simulation import quick_scenario
 
 SCENARIO = quick_scenario(scale=0.1, seed=11)
@@ -173,8 +175,10 @@ class TestFingerprints:
             _record((SITES[0], USER_AGENTS[0], "ip-1", 15169, "/", tick))
             for tick in range(10)
         ]
-        base = fingerprint_stream(records, chunk_records=4)
-        grown = fingerprint_stream(records + records[:3], chunk_records=4)
+        base = fingerprint_batches(iter_batches(records), chunk_records=4)
+        grown = fingerprint_batches(
+            iter_batches(records + records[:3]), chunk_records=4
+        )
         assert base.records == 10
         assert len(base.chunks) == 3  # 4 + 4 + 2
         assert base.digest != grown.digest
@@ -183,12 +187,15 @@ class TestFingerprints:
 
     def test_fingerprint_ignores_enrichment_columns(self):
         record = _record((SITES[0], USER_AGENTS[0], "ip-1", 15169, "/", 5))
-        before = fingerprint_records([record])
+        def fingerprint():
+            return fingerprint_batch(RecordBatch.from_records([record]))
+
+        before = fingerprint()
         record.bot_name = "GPTBot"
         record.asn_name = "GOOGLE"
-        assert fingerprint_records([record]) == before
+        assert fingerprint() == before
         record.uri_path = "/changed"
-        assert fingerprint_records([record]) != before
+        assert fingerprint() != before
 
     def test_stable_token_rejects_address_reprs(self):
         class Opaque:

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
+import contextlib
 import importlib.util
 import json
+import socket
+import threading
 
 import pytest
 
@@ -289,6 +293,79 @@ class TestHTTPServer:
 
         cold, warm = with_server(scenario)
         assert cold == warm
+
+
+@contextlib.contextmanager
+def server_in_thread():
+    """A live server on its own event loop and thread.
+
+    The client side uses blocking sockets with timeouts, so a server
+    loop stuck inside ``data_received`` fails the test instead of
+    hanging it (the stuck daemon thread is abandoned).
+    """
+    loop = asyncio.new_event_loop()
+    server = DecisionHTTPServer(make_service(), port=0)
+    bound: list[tuple[str, int]] = []
+    ready = threading.Event()
+
+    def run():
+        asyncio.set_event_loop(loop)
+        bound.append(loop.run_until_complete(server.start()))
+        ready.set()
+        loop.run_forever()
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    assert ready.wait(5), "server did not start"
+    try:
+        yield bound[0]
+    finally:
+        stop = asyncio.run_coroutine_threadsafe(server.stop(), loop)
+        with contextlib.suppress(concurrent.futures.TimeoutError):
+            stop.result(timeout=2)
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(timeout=2)
+        if not thread.is_alive():
+            loop.close()
+
+
+def exchange(address, payload: bytes, timeout: float = 2.0) -> bytes:
+    """Send ``payload`` on a fresh connection; return every byte the
+    server sends before closing (or before ``timeout`` runs out)."""
+    received = b""
+    with socket.create_connection(address, timeout=timeout) as client:
+        client.sendall(payload)
+        try:
+            while chunk := client.recv(65536):
+                received += chunk
+        except socket.timeout:
+            pass
+    return received
+
+
+class TestHostileFraming:
+    """Malformed ``Content-Length`` values get a 400 and a closed
+    connection; none of them may stall the event loop (a negative
+    length used to re-parse the same bytes forever)."""
+
+    HEALTHZ = b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
+
+    @pytest.mark.parametrize(
+        "value", [b"-1000", b"+5", b"1_0", b"0x10", b"", b"5 5"]
+    )
+    def test_bad_content_length_is_400_and_server_stays_live(self, value):
+        with server_in_thread() as address:
+            reply = exchange(
+                address,
+                b"POST /can_fetch_many HTTP/1.1\r\nHost: t\r\n"
+                b"Content-Length: " + value + b"\r\n\r\n" + b"x" * 64,
+            )
+            assert reply.startswith(b"HTTP/1.1 400 ")
+            assert b"Connection: close" in reply
+            assert b"Content-Length" in reply
+            healthz = exchange(address, self.HEALTHZ)
+            assert healthz.startswith(b"HTTP/1.1 200 ")
+            assert healthz.endswith(b'{"status":"ok"}')
 
 
 class TestASGIApp:
