@@ -87,14 +87,34 @@ class QueueCoordinator:
         it had been unpickled from its own blob, so downstream
         mutation of one shard's output cannot alias another's.
         """
-        if not payloads:
-            return []
+        return self.collect(self.submit(worker, payloads, stage), stage)
+
+    def submit(
+        self,
+        worker: Callable[[object], object],
+        payloads: Sequence[object],
+        stage: str = "stage",
+    ) -> list[str]:
+        """Enqueue one task per payload; returns their ids in order."""
         order: list[str] = []
         for index, payload in enumerate(payloads):
             task_id, blob = task_id_for(stage, worker, payload)
             order.append(task_id)
             self.spool.enqueue(task_id, stage, index, blob)
-        outcomes = self._watch(set(order), stage)
+        return order
+
+    def collect(
+        self, order: list[str], stage: str = "stage", wake=None
+    ) -> list[object]:
+        """Wait for the :meth:`submit`-ted tasks; results align with ``order``.
+
+        ``wake`` is an optional semaphore that workers release after
+        each task (see :func:`local_worker_pool`); it ends a wait early
+        so a finished result is collected at once.
+        """
+        if not order:
+            return []
+        outcomes = self._watch(set(order), stage, wake)
         results: list[object] = []
         served: set[str] = set()
         for task_id in order:
@@ -109,7 +129,7 @@ class QueueCoordinator:
         return results
 
     def _watch(
-        self, wanted: set[str], stage: str
+        self, wanted: set[str], stage: str, wake=None
     ) -> dict[str, object]:
         """Poll until every wanted task has a verified result."""
         outcomes: dict[str, object] = {}
@@ -117,6 +137,10 @@ class QueueCoordinator:
         deadline = (
             None if self.timeout is None else time.monotonic() + self.timeout
         )
+        # A ``wake`` can end a wait early, but the reaper keeps the
+        # ``poll`` cadence: a fresh claim is lease-less for a moment,
+        # and reaping on every wake would requeue live work.
+        last_reap = time.monotonic()
         while True:
             for task_id in sorted(wanted - set(outcomes)):
                 payload = self.spool.read_result(task_id)
@@ -137,8 +161,11 @@ class QueueCoordinator:
                 self.spool.clear_lease(task_id)
             if len(outcomes) == len(wanted):
                 return outcomes
-            self._reap(wanted, set(outcomes), attempts, stage)
-            if deadline is not None and time.monotonic() > deadline:
+            now = time.monotonic()
+            if now - last_reap >= self.poll:
+                self._reap(wanted, set(outcomes), attempts, stage)
+                last_reap = now
+            if deadline is not None and now > deadline:
                 missing = sorted(wanted - set(outcomes))
                 raise DistributedError(
                     f"queue run for stage {stage!r} timed out after "
@@ -147,7 +174,12 @@ class QueueCoordinator:
                     f"{'…' if len(missing) > 3 else ''} — are any workers "
                     "serving this spool?"
                 )
-            time.sleep(self.poll)
+            if wake is None:
+                time.sleep(self.poll)
+            elif wake.acquire(timeout=self.poll):
+                # One pass collects every task finished so far.
+                while wake.acquire(False):
+                    pass
 
     def _reap(
         self,
@@ -185,13 +217,15 @@ def local_worker_pool(
     workers: int,
     lease_ttl: float = DEFAULT_LEASE_TTL,
     poll: float = DEFAULT_POLL,
+    done=None,
 ):
     """``workers`` local worker processes serving ``spool_dir``.
 
     The processes run until the context exits (a multiprocessing event
     is their stop signal), so one pool can serve several successive
     stage maps against the same spool.  They are daemons: a crashed
-    coordinator cannot leak workers.
+    coordinator cannot leak workers.  ``done``, when given, is a
+    multiprocessing semaphore each worker releases after every task.
     """
     if workers <= 0:
         yield []
@@ -201,7 +235,7 @@ def local_worker_pool(
     processes = [
         context.Process(
             target=_pool_worker,
-            args=(str(spool_dir), stop, lease_ttl, poll),
+            args=(str(spool_dir), stop, lease_ttl, poll, done),
             daemon=True,
             name=f"repro-worker-{index}",
         )
@@ -221,10 +255,16 @@ def local_worker_pool(
                 process.join(timeout=5.0)
 
 
-def _pool_worker(spool_dir: str, stop, lease_ttl: float, poll: float) -> None:
+def _pool_worker(
+    spool_dir: str, stop, lease_ttl: float, poll: float, done
+) -> None:
     """Module-level pool target (picklable under the spawn context)."""
     run_worker(
-        FilesystemSpool(spool_dir), ttl=lease_ttl, poll=poll, stop=stop
+        FilesystemSpool(spool_dir),
+        ttl=lease_ttl,
+        poll=poll,
+        stop=stop,
+        done=done,
     )
 
 
@@ -263,5 +303,10 @@ def run_sharded_queue(
         timeout=timeout,
         max_attempts=max_attempts,
     )
-    with local_worker_pool(spool, workers, lease_ttl=lease_ttl, poll=poll):
-        return coordinator.run(worker, payloads, stage=stage)
+    # Enqueue before the pool starts, so new workers find work at once.
+    order = coordinator.submit(worker, payloads, stage=stage)
+    done = _process_context().Semaphore(0)
+    with local_worker_pool(
+        spool, workers, lease_ttl=lease_ttl, poll=poll, done=done
+    ):
+        return coordinator.collect(order, stage=stage, wake=done)

@@ -130,6 +130,7 @@ def run_worker(
     poll: float = DEFAULT_POLL,
     max_idle: float | None = None,
     stop=None,
+    done=None,
 ) -> int:
     """Serve the spool until stopped; returns tasks processed.
 
@@ -140,8 +141,11 @@ def run_worker(
         poll: sleep between empty-queue checks.
         max_idle: exit after this many seconds without claiming a task
             (``None``: serve forever, until ``stop`` or a signal).
-        stop: optional event-like object (``is_set()``) — the local
-            worker pool's shutdown signal.
+        stop: optional event-like object (``is_set()``, ``wait()``) —
+            the local worker pool's shutdown signal; an idle worker
+            wakes as soon as it is set.
+        done: optional semaphore released after each processed task,
+            so a waiting coordinator collects the result at once.
     """
     wid = worker_id if worker_id is not None else default_worker_id()
     processed = 0
@@ -151,8 +155,13 @@ def run_worker(
             return processed
         if process_one(spool, wid, ttl=ttl):
             processed += 1
+            if done is not None:
+                done.release()
             idle_since = time.monotonic()
             continue
         if max_idle is not None and time.monotonic() - idle_since >= max_idle:
             return processed
-        time.sleep(poll)
+        if stop is not None:
+            stop.wait(poll)
+        else:
+            time.sleep(poll)

@@ -14,6 +14,13 @@ matters**: more specific patterns (``Googlebot-Image``) must precede
 generic ones (``Googlebot``), because the registry reports the first
 match.
 
+The registry screens each pattern by its required literal (a pure
+literal, or the longest literal run of each ``|`` branch) and tries
+the regex only when the lowercased UA contains one.  A pattern with no
+such literal (a group, class, lookaround or repetition) is always
+run, so prefer plain literals, ``\b``, ``\s?`` and escaped
+punctuation when adding rows.
+
 Entities and promises for the bots in the paper's Table 6 are taken
 directly from that table; the remainder reflect the operators' public
 documentation as summarized by Dark Visitors.
@@ -182,6 +189,8 @@ KNOWN_BOT_ROWS: tuple[BotRow, ...] = (
     ("SlimerJS", r"SlimerJS", _C.HEADLESS_BROWSER, "Open Source", _P.UNKNOWN),
     ("Splash", r"\bSplash\b", _C.HEADLESS_BROWSER, "Open Source", _P.UNKNOWN),
     # --- Developer helpers ----------------------------------------------------------------
+    # Guzzle UAs carry "curl/" too ("GuzzleHttp/7 curl/7.81 PHP/8.1").
+    ("Guzzle", r"GuzzleHttp", _C.OTHER, "Open Source", _P.UNKNOWN),
     ("curl", r"\bcurl/", _C.DEVELOPER_HELPER, "Open Source", _P.NO),
     ("Wget", r"\bWget/", _C.DEVELOPER_HELPER, "Open Source", _P.NO),
     ("PostmanRuntime", r"PostmanRuntime", _C.DEVELOPER_HELPER, "Postman", _P.NO),
@@ -201,7 +210,6 @@ KNOWN_BOT_ROWS: tuple[BotRow, ...] = (
     ("libwww-perl", r"libwww-perl", _C.OTHER, "Open Source", _P.UNKNOWN),
     ("Ruby", r"\bRuby\b", _C.OTHER, "Open Source", _P.UNKNOWN),
     ("Faraday", r"Faraday", _C.OTHER, "Open Source", _P.UNKNOWN),
-    ("Guzzle", r"GuzzleHttp", _C.OTHER, "Open Source", _P.UNKNOWN),
     ("WinHttp", r"WinHttp", _C.OTHER, "Microsoft", _P.UNKNOWN),
     ("reqwest", r"reqwest", _C.OTHER, "Open Source", _P.UNKNOWN),
     # --- Monitoring / validation (Other) ---------------------------------------------------------

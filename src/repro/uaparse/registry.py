@@ -9,6 +9,7 @@ names before any analysis.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .categories import BotCategory, RobotsPromise
@@ -34,13 +35,55 @@ class BotRecord:
     entity: str
     promise: RobotsPromise
 
-    @property
-    def compiled(self) -> re.Pattern[str]:
-        return _compile(self.pattern)
-
 
 def _compile(pattern: str) -> re.Pattern[str]:
     return re.compile(pattern, re.IGNORECASE)
+
+
+#: Escapes that match one of a class of characters or a position: they
+#: end a literal run without being part of it.
+_BREAK_ESCAPES = frozenset("bBsSdDwWAZ")
+#: Unescaped characters that open a group, class or repetition; a
+#: pattern using any of them gets no screen.
+_UNSCREENABLE = frozenset("()[]{}*+")
+
+
+def required_literals(pattern: str) -> tuple[str, ...] | None:
+    """Lowercased literals one of which occurs in every match of *pattern*.
+
+    Each ``|`` branch contributes its longest literal run.  ``None``
+    means the pattern has no such screen (a group, class, lookaround,
+    repetition, or a branch without a literal run), so its regex must
+    always be tried.
+    """
+    literals = []
+    for branch in pattern.split("|"):
+        runs = [""]
+        chars = iter(branch)
+        for char in chars:
+            if char == "\\":
+                char = next(chars, "")
+                if not char or (char.isalnum() and char not in _BREAK_ESCAPES):
+                    return None
+                breaks = char in _BREAK_ESCAPES
+            elif char in _UNSCREENABLE:
+                return None
+            elif char == "?":
+                # The quantified atom is optional: drop it and end the run.
+                runs[-1] = runs[-1][:-1]
+                breaks = True
+            else:
+                breaks = char in ".^$"
+            # A non-ASCII literal may fold onto ASCII text under IGNORECASE.
+            if breaks or not char.isascii():
+                runs.append("")
+            else:
+                runs[-1] += char
+        longest = max(runs, key=len)
+        if not longest:
+            return None
+        literals.append(longest.lower())
+    return tuple(dict.fromkeys(literals))
 
 
 @dataclass
@@ -56,6 +99,16 @@ class BotRegistry:
     def __post_init__(self) -> None:
         self._by_name = {record.name.lower(): record for record in self.records}
         self._compiled = [(record, _compile(record.pattern)) for record in self.records]
+        # Required-literal screen: (literal, index) pairs for screened
+        # patterns; the rest are tried on every UA.
+        self._screen: list[tuple[str, int]] = []
+        self._unscreened: set[int] = set()
+        for index, record in enumerate(self.records):
+            literals = required_literals(record.pattern)
+            if literals is None:
+                self._unscreened.add(index)
+            else:
+                self._screen.extend((literal, index) for literal in literals)
 
     # -- identification ------------------------------------------------
 
@@ -63,10 +116,25 @@ class BotRegistry:
         """First record whose pattern matches the raw UA value."""
         if not user_agent:
             return None
-        for record, regex in self._compiled:
+        for index in self._candidates(user_agent):
+            record, regex = self._compiled[index]
             if regex.search(user_agent):
                 return record
         return None
+
+    def _candidates(self, user_agent: str) -> Iterable[int]:
+        """Record indices, in registry order, whose regex may match.
+
+        The screen only skips regexes that cannot match; every hit is
+        still confirmed by the regex.  Only ASCII UAs are screened:
+        ``re.IGNORECASE`` folds characters (U+0130, U+017F, U+212A)
+        onto ASCII letters where ``str.lower`` does not.
+        """
+        if not user_agent.isascii():
+            return range(len(self._compiled))
+        lowered = user_agent.lower()
+        hits = {index for literal, index in self._screen if literal in lowered}
+        return sorted(hits | self._unscreened)
 
     def is_known_bot(self, user_agent: str) -> bool:
         return self.identify(user_agent) is not None

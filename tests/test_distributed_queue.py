@@ -15,6 +15,7 @@ Fault injection — SIGKILLed workers, restarted coordinators — lives in
 from __future__ import annotations
 
 import pickle
+import threading
 import time
 
 import pytest
@@ -30,7 +31,7 @@ from repro.distributed import (
     task_id_for,
 )
 from repro.distributed.queue import pack_blob, unpack_blob
-from repro.distributed.worker import decode_outcome, process_one
+from repro.distributed.worker import decode_outcome, process_one, run_worker
 from repro.exceptions import DistributedError, LeaseError, PipelineError
 from repro.pipeline.context import PipelineConfig
 from repro.pipeline.store import ArtifactStore, StoreBackend
@@ -255,6 +256,27 @@ class TestWorker:
         assert status == "error"
         assert "shard worker went boom" in message
 
+    def test_run_worker_releases_done_once_per_task(self, tmp_path):
+        spool = FilesystemSpool(tmp_path)
+        self._enqueue(spool, doubler, [1])
+        self._enqueue(spool, doubler, [2])
+        done = threading.Semaphore(0)
+        processed = run_worker(spool, ttl=5.0, poll=0.01, max_idle=0.05, done=done)
+        assert processed == 2
+        assert done.acquire(blocking=False) and done.acquire(blocking=False)
+        assert not done.acquire(blocking=False)
+
+    def test_idle_worker_exits_as_soon_as_stopped(self, tmp_path):
+        stop = threading.Event()
+        timer = threading.Timer(0.05, stop.set)
+        timer.start()
+        start = time.monotonic()
+        try:
+            assert run_worker(FilesystemSpool(tmp_path), poll=30.0, stop=stop) == 0
+        finally:
+            timer.cancel()
+        assert time.monotonic() - start < 10.0  # not one 30 s poll
+
     def test_corrupt_payload_becomes_error_outcome(self, tmp_path):
         spool = FilesystemSpool(tmp_path)
         task_id = self._enqueue(spool, doubler, [1])
@@ -281,6 +303,25 @@ class TestCoordinator:
             timeout=60.0,
         )
         assert out == [[2], [4, 6], [], [8]]
+
+    def test_wake_collects_a_result_before_the_poll_interval(self, tmp_path):
+        spool = FilesystemSpool(tmp_path / "spool")
+        coordinator = QueueCoordinator(spool, poll=30.0, timeout=60.0)
+        order = coordinator.submit(doubler, [[4]], stage="map")
+        wake = threading.Semaphore(0)
+
+        def serve():
+            process_one(spool, "w1", ttl=5.0)
+            wake.release()
+
+        worker = threading.Timer(0.05, serve)
+        worker.start()
+        start = time.monotonic()
+        try:
+            assert coordinator.collect(order, stage="map", wake=wake) == [[8]]
+        finally:
+            worker.join(timeout=10.0)
+        assert time.monotonic() - start < 10.0  # not one 30 s poll
 
     def test_identical_payloads_share_one_task(self, tmp_path):
         spool = tmp_path / "spool"

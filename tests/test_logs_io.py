@@ -1,5 +1,8 @@
 """Unit tests for log IO: JSONL, CSV, and Apache CLF."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.exceptions import LogSchemaError
@@ -150,3 +153,11 @@ class TestSchema:
     def test_iso_timestamp_format(self):
         assert sample_records()[0].iso_timestamp.endswith("Z")
         assert "T" in sample_records()[0].iso_timestamp
+
+    def test_pickle_round_trip_keeps_every_field(self):
+        records = sample_records()
+        for protocol in (2, pickle.HIGHEST_PROTOCOL):
+            restored = pickle.loads(pickle.dumps(records, protocol=protocol))
+            assert restored == records
+            assert restored[0].bot_category is BotCategory.AI_DATA_SCRAPER
+        assert copy.deepcopy(records) == records

@@ -1,7 +1,19 @@
 """Unit tests for the known-bot registry."""
 
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.bots.profiles import build_profiles
 from repro.uaparse.categories import BotCategory, RobotsPromise
-from repro.uaparse.registry import default_registry
+from repro.uaparse.registry import (
+    BotRecord,
+    BotRegistry,
+    default_registry,
+    required_literals,
+)
 
 
 class TestIdentify:
@@ -59,6 +71,32 @@ class TestIdentify:
         extended = registry.identify("Applebot-Extended/0.1")
         assert plain is not None and plain.name == "Applebot"
         assert extended is not None and extended.name == "Applebot-Extended"
+
+    def test_guzzle_not_shadowed_by_curl(self):
+        record = default_registry().identify("GuzzleHttp/7.4.5 curl/7.81.0 PHP/8.1.2")
+        assert record is not None and record.name == "Guzzle"
+
+    def test_plain_curl(self):
+        record = default_registry().identify("curl/8.4.0")
+        assert record is not None and record.name == "curl"
+
+    def test_ignorecase_folding_outside_ascii(self):
+        """re.IGNORECASE folds U+0130 and U+017F onto ASCII letters,
+        which str.lower() does not; identification must follow re."""
+        registry = default_registry()
+        assert registry.identify("DEV\u0130N/1.0").name == "Devin"
+        assert registry.identify("\u017fcrapy/2.11").name == "Scrapy"
+
+
+class TestSimulatorConsistency:
+    def test_every_profile_identifies_as_itself(self):
+        """The simulated bot population relies on the registry's
+        first-match order: each profile's UA must map back to it."""
+        registry = default_registry()
+        for profile in build_profiles():
+            record = registry.identify(profile.user_agent)
+            assert record is not None, profile.user_agent
+            assert record.name == profile.name, profile.user_agent
 
 
 class TestStandardize:
@@ -143,3 +181,144 @@ class TestCategoryOf:
 
     def test_unknown_label_maps_to_other(self):
         assert BotCategory.from_label("Martian Probes") is BotCategory.OTHER
+
+
+class TestRequiredLiterals:
+    @pytest.mark.parametrize(
+        ("pattern", "literals"),
+        [
+            ("GPTBot", ("gptbot",)),
+            (r"\bcurl/", ("curl/",)),
+            (r"\bDevin\b", ("devin",)),
+            (r"yandex\.com/bots|YandexBot", ("yandex.com/bots", "yandexbot")),
+            (r"Mail\.RU_Bot", ("mail.ru_bot",)),
+            (r"Microsoft\s?Preview", ("microsoft",)),
+            (r"ab?cd", ("cd",)),
+            (r"ver.2x", ("ver",)),
+            (r"\bDotBot\b|\bdotbot\b", ("dotbot",)),
+            ("Sogou web spider", ("sogou web spider",)),
+            (r"Applebot(?!-Extended)", None),
+            (r"Pinterest(bot)?/", None),
+            (r"Bot[0-9]", None),
+            (r"Bot+", None),
+            (r"Spider|\d\d", None),
+            (r"\x41bc", None),
+            ("", None),
+        ],
+    )
+    def test_extraction(self, pattern, literals):
+        assert required_literals(pattern) == literals
+
+    def test_default_registry_screen_coverage(self):
+        """Every built-in pattern is screened except these three.  A new
+        row that falls off the fast path must be added here on purpose."""
+        unscreened = {
+            record.pattern
+            for record in default_registry()
+            if required_literals(record.pattern) is None
+        }
+        assert unscreened == {
+            r"Applebot(?!-Extended)",
+            r"Slackbot(?!-LinkExpanding)",
+            r"Pinterest(bot)?/",
+        }
+
+
+def _reference_identify(registry, user_agent):
+    """First-match loop over every pattern, with no screen."""
+    if not user_agent:
+        return None
+    for record in registry:
+        if re.search(record.pattern, user_agent, re.IGNORECASE):
+            return record
+    return None
+
+
+#: Characters that re.IGNORECASE folds onto ASCII letters (s, k, i).
+_FOLDING = {"s": "\u017f", "k": "\u212a", "i": "\u0130"}
+_INSERTS = (" ", "/", "-", "_", ".", ";", "\u017f", "\u212a", "\u0130")
+_PREFIXES = ("", "x", " ", "Mozilla/5.0 (compatible; ", "Agent-")
+_SUFFIXES = ("", "/1.0", "/", " ", "-Extended", "-LinkExpanding", "bot/", ")")
+
+
+@st.composite
+def _mutated_token(draw, names):
+    token = draw(st.sampled_from(names))
+    flips = draw(st.lists(st.booleans(), min_size=len(token), max_size=len(token)))
+    chars = [char.swapcase() if flip else char for char, flip in zip(token, flips)]
+    if draw(st.booleans()):
+        chars = [
+            _FOLDING.get(char.lower(), char) if draw(st.booleans()) else char
+            for char in chars
+        ]
+    for _ in range(draw(st.integers(0, 2))):
+        position = draw(st.integers(0, len(chars)))
+        chars.insert(position, draw(st.sampled_from(_INSERTS)))
+    token = "".join(chars)
+    if draw(st.booleans()):
+        token = token[: draw(st.integers(0, len(token)))]
+    return draw(st.sampled_from(_PREFIXES)) + token + draw(st.sampled_from(_SUFFIXES))
+
+
+def _user_agents(names):
+    tokens = st.lists(_mutated_token(names), max_size=3).map(" ".join)
+    return st.one_of(tokens, st.text(max_size=40))
+
+
+_DEFAULT_NAMES = sorted(
+    {record.name for record in default_registry()}
+    | {"curl/", "Wget/", "Java/", "Yeti/", "Operator/", "Pinterest", "GuzzleHttp"}
+    | {"Kangaroo Bot", "Microsoft Preview"}
+)
+
+_ADVERSARIAL = BotRegistry(
+    records=[
+        BotRecord(name, pattern, BotCategory.OTHER, "Test", RobotsPromise.UNKNOWN)
+        for name, pattern in (
+            ("Lookahead", r"Foo(?!-Bar)"),
+            ("Optional", r"ab?c"),
+            ("Group", r"Baz(qux)?/"),
+            ("Bounded", r"\bWord\b"),
+            ("Spaced", r"Spa\s?ce"),
+            ("Literalless", r"zeta|\d\d\d"),
+            ("Plain", r"Foo-Bar"),
+            ("Dotted", r"ver.2x"),
+        )
+    ]
+)
+_ADVERSARIAL_NAMES = [
+    "Foo", "Foo-Bar", "abc", "ac", "Baz/", "Bazqux/", "Word",
+    "Space", "Spa ce", "zeta", "123", "ver-2x", "ver.2x",
+]
+
+
+class TestScreenDifferential:
+    """The screen only skips regexes, so identify equals the plain loop."""
+
+    @given(_user_agents(_DEFAULT_NAMES))
+    @settings(max_examples=400, deadline=None)
+    def test_default_registry_matches_reference(self, user_agent):
+        registry = default_registry()
+        expected = _reference_identify(registry, user_agent)
+        assert registry.identify(user_agent) is expected
+
+    @given(_user_agents(_ADVERSARIAL_NAMES))
+    @settings(max_examples=400, deadline=None)
+    def test_adversarial_registry_matches_reference(self, user_agent):
+        expected = _reference_identify(_ADVERSARIAL, user_agent)
+        assert _ADVERSARIAL.identify(user_agent) is expected
+
+    def test_adversarial_screen_shape(self):
+        screened = {
+            record.name: required_literals(record.pattern) for record in _ADVERSARIAL
+        }
+        assert screened == {
+            "Lookahead": None,
+            "Optional": ("a",),
+            "Group": None,
+            "Bounded": ("word",),
+            "Spaced": ("spa",),
+            "Literalless": None,
+            "Plain": ("foo-bar",),
+            "Dotted": ("ver",),
+        }
