@@ -150,8 +150,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help=(
-            "local worker processes the queue executor spawns "
-            "(default: --jobs; 0 relies on externally started workers)"
+            "local queue workers, this process included, capped at the "
+            "usable CPUs (default: --jobs; 0 relies on externally "
+            "started workers)"
         ),
     )
     analyze.add_argument(
@@ -419,7 +420,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="local queue workers to spawn (default: --jobs)",
+        help=(
+            "local queue workers, this process included, capped at the "
+            "usable CPUs (default: --jobs)"
+        ),
     )
     scenarios.add_argument(
         "--set",

@@ -5,9 +5,11 @@
 payloads, results aligned with inputs), different substrate — tasks go
 through a :class:`~repro.distributed.queue.SpoolBackend` and are
 executed by whatever worker processes serve that spool.  With
-``workers > 0`` it spins up a local pool for the duration of the call;
-with ``workers=0`` it only enqueues and watches, relying on standalone
-workers (``repro-study worker --spool DIR``) on this or other hosts.
+``workers > 0`` the coordinator is one of the local workers: it serves
+the spool itself while it waits and starts the rest as a local pool for
+the duration of the call.  With ``workers=0`` it only enqueues and
+watches, relying on standalone workers (``repro-study worker --spool
+DIR``) on this or other hosts.
 
 Crash recovery is built from three properties, not from bookkeeping:
 
@@ -30,6 +32,7 @@ Crash recovery is built from three properties, not from bookkeeping:
 
 from __future__ import annotations
 
+import os
 import pickle
 import time
 from collections.abc import Callable, Sequence
@@ -40,7 +43,13 @@ from ..exceptions import DistributedError, SpoolError
 from ..pipeline.shard import _process_context
 from .lease import DEFAULT_LEASE_TTL, Lease
 from .queue import PICKLE_PROTOCOL, FilesystemSpool, SpoolBackend, task_id_for
-from .worker import DEFAULT_POLL, decode_outcome, run_worker
+from .worker import (
+    DEFAULT_POLL,
+    decode_outcome,
+    default_worker_id,
+    process_one,
+    run_worker,
+)
 
 __all__ = [
     "DEFAULT_MAX_ATTEMPTS",
@@ -104,17 +113,25 @@ class QueueCoordinator:
         return order
 
     def collect(
-        self, order: list[str], stage: str = "stage", wake=None
+        self,
+        order: list[str],
+        stage: str = "stage",
+        wake=None,
+        serve: bool = False,
     ) -> list[object]:
         """Wait for the :meth:`submit`-ted tasks; results align with ``order``.
 
         ``wake`` is an optional semaphore that workers release after
         each task (see :func:`local_worker_pool`); it ends a wait early
-        so a finished result is collected at once.
+        so a finished result is collected at once.  With ``serve`` the
+        coordinator runs pending tasks itself instead of idling, through
+        the same claim/lease/publish/ack steps as any worker
+        (:func:`~repro.distributed.worker.process_one`).  A task it runs
+        holds up reaping and the timeout check until it returns.
         """
         if not order:
             return []
-        outcomes = self._watch(set(order), stage, wake)
+        outcomes = self._watch(set(order), stage, wake, serve)
         results: list[object] = []
         served: set[str] = set()
         for task_id in order:
@@ -129,9 +146,10 @@ class QueueCoordinator:
         return results
 
     def _watch(
-        self, wanted: set[str], stage: str, wake=None
+        self, wanted: set[str], stage: str, wake=None, serve: bool = False
     ) -> dict[str, object]:
         """Poll until every wanted task has a verified result."""
+        worker_id = default_worker_id()
         outcomes: dict[str, object] = {}
         attempts: dict[str, int] = {}
         deadline = (
@@ -174,6 +192,15 @@ class QueueCoordinator:
                     f"{'…' if len(missing) > 3 else ''} — are any workers "
                     "serving this spool?"
                 )
+            ran = serve and process_one(
+                self.spool, worker_id, ttl=self.lease_ttl
+            )
+            if ran:
+                task_id, outcome = ran
+                if task_id in wanted and outcome and outcome[0] == "ok":
+                    # Published already; no need to read it back.
+                    outcomes[task_id] = outcome[1]
+                continue  # collect whatever else finished, at once
             if wake is None:
                 time.sleep(self.poll)
             elif wake.acquire(timeout=self.poll):
@@ -219,27 +246,31 @@ def local_worker_pool(
     poll: float = DEFAULT_POLL,
     done=None,
 ):
-    """``workers`` local worker processes serving ``spool_dir``.
+    """``workers`` local helper processes serving ``spool_dir``.
 
-    The processes run until the context exits (a multiprocessing event
-    is their stop signal), so one pool can serve several successive
-    stage maps against the same spool.  They are daemons: a crashed
-    coordinator cannot leak workers.  ``done``, when given, is a
-    multiprocessing semaphore each worker releases after every task.
+    Each process exits as soon as it finds no pending task, so enqueue
+    before the pool starts; the coordinator, which serves the spool
+    itself, runs whatever is requeued after that.  A multiprocessing
+    event stops the processes that are still working when the context
+    exits, which returns once every process has left its worker loop
+    (or died).  They are daemons: a crashed coordinator cannot leak
+    workers.  ``done``, when given, is a multiprocessing semaphore each
+    worker releases after every task.
     """
     if workers <= 0:
         yield []
         return
     context = _process_context()
     stop = context.Event()
+    lefts = [context.Event() for _ in range(workers)]
     processes = [
         context.Process(
             target=_pool_worker,
-            args=(str(spool_dir), stop, lease_ttl, poll, done),
+            args=(str(spool_dir), stop, lease_ttl, poll, done, left),
             daemon=True,
             name=f"repro-worker-{index}",
         )
-        for index in range(workers)
+        for index, left in enumerate(lefts)
     ]
     for process in processes:
         process.start()
@@ -247,25 +278,44 @@ def local_worker_pool(
         yield processes
     finally:
         stop.set()
-        for process in processes:
-            process.join(timeout=10.0)
-        for process in processes:
-            if process.is_alive():  # pragma: no cover - hung worker
-                process.terminate()
-                process.join(timeout=5.0)
+        deadline = time.monotonic() + 10.0
+        for process, left in zip(processes, lefts):
+            # A process that has left its loop never touches the spool
+            # again.  Its exit unmaps its copy of this process, which can
+            # take as long as a small task, so it is not joined here;
+            # multiprocessing reaps it at the next start or at exit.
+            while not left.wait(0.01):
+                if not process.is_alive():
+                    break  # died inside the loop
+                if time.monotonic() > deadline:  # pragma: no cover - hung
+                    process.terminate()
+                    process.join(timeout=5.0)
+                    break
 
 
 def _pool_worker(
-    spool_dir: str, stop, lease_ttl: float, poll: float, done
+    spool_dir: str, stop, lease_ttl: float, poll: float, done, left
 ) -> None:
     """Module-level pool target (picklable under the spawn context)."""
-    run_worker(
-        FilesystemSpool(spool_dir),
-        ttl=lease_ttl,
-        poll=poll,
-        stop=stop,
-        done=done,
-    )
+    try:
+        run_worker(
+            FilesystemSpool(spool_dir),
+            ttl=lease_ttl,
+            poll=poll,
+            max_idle=0.0,
+            stop=stop,
+            done=done,
+        )
+    finally:
+        left.set()
+
+
+def usable_cores() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
 
 
 def run_sharded_queue(
@@ -287,8 +337,11 @@ def run_sharded_queue(
             ``process`` executor).
         payloads: one entry per shard; results come back aligned.
         spool: the spool directory (shared with the worker fleet).
-        workers: local worker processes to spin up for this call;
-            ``0`` relies entirely on externally started workers.
+        workers: local workers for this call, the coordinator included:
+            it serves the spool itself and starts the others as
+            processes, never more local workers in all than there are
+            tasks or usable CPUs; ``0`` relies entirely on externally
+            started workers.
         stage: stage name folded into task ids (and error messages).
         lease_ttl / poll / timeout / max_attempts: see
             :class:`QueueCoordinator`.
@@ -305,8 +358,14 @@ def run_sharded_queue(
     )
     # Enqueue before the pool starts, so new workers find work at once.
     order = coordinator.submit(worker, payloads, stage=stage)
+    # Local workers past the task count would only idle, and past the
+    # CPU count only time-slice; each one costs a fork and an exit of
+    # this process, which may be large.
+    local = min(workers, len(set(order)), usable_cores())
     done = _process_context().Semaphore(0)
     with local_worker_pool(
-        spool, workers, lease_ttl=lease_ttl, poll=poll, done=done
+        spool, local - 1, lease_ttl=lease_ttl, poll=poll, done=done
     ):
-        return coordinator.collect(order, stage=stage, wake=done)
+        return coordinator.collect(
+            order, stage=stage, wake=done, serve=workers > 0
+        )

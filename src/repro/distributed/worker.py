@@ -78,17 +78,21 @@ def process_one(
     spool: SpoolBackend,
     worker_id: str,
     ttl: float = DEFAULT_LEASE_TTL,
-) -> bool:
-    """Claim and fully process one task; ``False`` when none pending."""
+) -> tuple[str, tuple[str, object] | None] | None:
+    """Claim and fully process one task; ``None`` when none pending.
+
+    Returns the task id and the outcome this call published, which is
+    ``None`` when the task already had a result and was only acked.
+    """
     task = spool.claim(worker_id)
     if task is None:
-        return False
+        return None
     if spool.has_result(task.id):
         # Requeued after its result landed: a reaper stole the claim
         # in the window before the first runner's lease.  Finish the
         # transition instead of running (and republishing) it again.
         spool.ack(task.id)
-        return True
+        return task.id, None
     lease = Lease.acquire(spool, task.id, worker_id, ttl)
     heartbeat = Heartbeat(spool, lease, ttl)
     heartbeat.start()
@@ -102,7 +106,7 @@ def process_one(
     finally:
         heartbeat.stop()
         lease.release(spool)
-    return True
+    return task.id, outcome
 
 
 def _execute(spool: SpoolBackend, task_id: str) -> tuple[str, object]:
@@ -153,7 +157,7 @@ def run_worker(
     while True:
         if stop is not None and stop.is_set():
             return processed
-        if process_one(spool, wid, ttl=ttl):
+        if process_one(spool, wid, ttl=ttl) is not None:
             processed += 1
             if done is not None:
                 done.release()

@@ -71,10 +71,12 @@ class PipelineConfig:
             fleet (``repro-study worker --spool DIR``).  Like ``jobs``
             and ``executor``, it is execution plumbing: artifact cache
             keys never include it.
-        workers: local worker processes the ``queue`` executor spawns
-            for the duration of each shard map.  ``None`` (default)
-            mirrors ``jobs``; ``0`` spawns none and relies entirely on
-            externally started workers serving the spool.
+        workers: local workers of the ``queue`` executor for each
+            shard map, the coordinator included: it serves the spool
+            itself and spawns the others, never more in all than the
+            map's tasks or the usable CPUs.  ``None`` (default) mirrors
+            ``jobs``; ``0`` spawns none, serves nothing and relies
+            entirely on externally started workers serving the spool.
     """
 
     jobs: int = 1

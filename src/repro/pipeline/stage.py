@@ -140,10 +140,11 @@ class ShardStage:
 
         The ``queue`` executor routes through the distributed spool
         coordinator instead of an in-process pool: tasks are enqueued
-        into ``config.spool`` and ``config.workers`` (default: one per
-        shard job) local worker processes are spun up for the duration
-        of the map — ``workers=0`` relies entirely on externally
-        started ``repro-study worker`` processes serving the spool.
+        into ``config.spool`` and served by ``config.workers``
+        (default: one per shard job) local workers for the duration of
+        the map, the coordinator itself among them —
+        ``workers=0`` relies entirely on externally started
+        ``repro-study worker`` processes serving the spool.
         """
         if context.config.executor == "queue":
             from ..distributed.coordinator import run_sharded_queue

@@ -1,4 +1,4 @@
-"""Known-bot dataset: UA patterns, categories, entities, promises.
+r"""Known-bot dataset: UA patterns, categories, entities, promises.
 
 This module plays the role of the two external datasets the paper
 used for bot standardization and categorization:

@@ -27,9 +27,11 @@ from repro.distributed import (
     Lease,
     QueueCoordinator,
     SpoolBackend,
+    local_worker_pool,
     run_sharded_queue,
     task_id_for,
 )
+from repro.distributed import coordinator as coordinator_module
 from repro.distributed.queue import pack_blob, unpack_blob
 from repro.distributed.worker import decode_outcome, process_one, run_worker
 from repro.exceptions import DistributedError, LeaseError, PipelineError
@@ -406,6 +408,67 @@ class TestCoordinator:
         coordinator._reap({task_id}, set(), attempts, "map")
         assert attempts[task_id] == 1
         assert spool.claim("w2").id == task_id  # back in pending
+
+    def test_serving_coordinator_needs_no_workers(self, tmp_path):
+        spool = FilesystemSpool(tmp_path / "spool")
+        coordinator = QueueCoordinator(spool, poll=0.01, timeout=10.0)
+        order = coordinator.submit(doubler, [[1], [2, 3]], stage="map")
+        assert coordinator.collect(order, stage="map", serve=True) == [
+            [2],
+            [4, 6],
+        ]
+        assert spool.claimed_ids() == []
+        done = list((tmp_path / "spool" / "tasks" / "done").glob("*.json"))
+        assert len(done) == 2
+
+    def test_serving_coordinator_reruns_a_dead_workers_task(self, tmp_path):
+        # Pool helpers leave once the queue is empty; a task the reaper
+        # requeues afterwards is the coordinator's to run.
+        spool = FilesystemSpool(tmp_path / "spool")
+        coordinator = QueueCoordinator(
+            spool, lease_ttl=0.2, poll=0.01, timeout=10.0
+        )
+        order = coordinator.submit(doubler, [[5]], stage="map")
+        assert spool.claim("dead-worker").id == order[0]
+        spool.write_lease(
+            order[0],
+            {"task": order[0], "worker": "dead-worker", "expires": 0.0},
+        )
+        assert coordinator.collect(order, stage="map", serve=True) == [[10]]
+
+    def test_local_workers_capped_by_tasks_and_cores(
+        self, tmp_path, monkeypatch
+    ):
+        helpers = []
+        real_pool = coordinator_module.local_worker_pool
+
+        def recording_pool(spool_dir, workers, **kwargs):
+            helpers.append(workers)
+            return real_pool(spool_dir, workers, **kwargs)
+
+        monkeypatch.setattr(
+            coordinator_module, "local_worker_pool", recording_pool
+        )
+        monkeypatch.setattr(coordinator_module, "usable_cores", lambda: 2)
+        for workers in (8, 1):
+            out = run_sharded_queue(
+                doubler,
+                [[1], [2], [3]],
+                spool=tmp_path / f"spool-{workers}",
+                workers=workers,
+                stage="map",
+                lease_ttl=2.0,
+                timeout=60.0,
+            )
+            assert out == [[2], [4], [6]]
+        # The coordinator is one of the local workers: 8 is capped to
+        # the 2 cores, so one helper process; 1 means none at all.
+        assert helpers == [1, 0]
+
+    def test_idle_pool_worker_exits_before_the_pool_closes(self, tmp_path):
+        with local_worker_pool(tmp_path / "spool", 1, poll=30.0) as processes:
+            processes[0].join(timeout=30.0)
+            assert processes[0].exitcode == 0
 
 
 # -- config validation ----------------------------------------------------

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+from collections import Counter
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro.logs.io import (
     write_csv,
     write_jsonl,
 )
+from repro.logs.preprocess import ShardPreprocess
 from repro.logs.schema import LogRecord
 from repro.uaparse.categories import BotCategory
 
@@ -161,3 +163,13 @@ class TestSchema:
             assert restored == records
             assert restored[0].bot_category is BotCategory.AI_DATA_SCRAPER
         assert copy.deepcopy(records) == records
+
+    def test_shard_output_pickle_round_trip(self):
+        records = sample_records()
+        part = ShardPreprocess(
+            records, len(records), Counter(a=2), Counter(a=1), {8075}
+        )
+        for protocol in (2, pickle.HIGHEST_PROTOCOL):
+            restored = pickle.loads(pickle.dumps(part, protocol=protocol))
+            assert restored == part
+            assert restored.records[0].bot_category is BotCategory.AI_DATA_SCRAPER
