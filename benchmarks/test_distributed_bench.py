@@ -18,9 +18,10 @@ blocking ``distributed-bench`` CI job):
 
 Both measurements run against a *fresh* spool each round — spool
 results are content-keyed and persistent, so reusing one would turn
-the second round into a cache read and measure nothing.  Parity is
-cross-checked before any timing: speed must never drift from
-semantics.
+the second round into a cache read and measure nothing.  Each gate
+times its two runs interleaved, so a host whose speed drifts during
+the measurement slows both sides alike.  Parity is cross-checked
+before any timing: speed must never drift from semantics.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import tempfile
 import time
 
 from repro.bots.profiles import build_profiles
+from repro.distributed.coordinator import usable_cores
 from repro.logs.schema import LogRecord
 from repro.pipeline import PipelineConfig, build_study_pipeline
 from repro.simulation import quick_scenario
@@ -42,24 +44,19 @@ MIN_SPEEDUP = float(os.environ.get("DISTRIBUTED_BENCH_MIN_SPEEDUP", "1.5"))
 BENCH_WORKERS = 4
 
 
-def usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
 #: Hard speedup gate only off-CI with enough cores for real workers.
 ENFORCE_SPEEDUP = not os.environ.get("CI") and usable_cores() >= BENCH_WORKERS
 
 
-def best_time(fn, repeats: int = 2) -> float:
-    """Minimum wall-clock of ``repeats`` runs (noise-robust)."""
-    best = float("inf")
+def best_times(*fns, repeats: int = 2) -> list[float]:
+    """Minimum wall-clock of each of ``fns`` over ``repeats`` rounds
+    that run them in turn (noise-robust, drift-fair)."""
+    best = [float("inf")] * len(fns)
     for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
+        for index, fn in enumerate(fns):
+            start = time.perf_counter()
+            fn()
+            best[index] = min(best[index], time.perf_counter() - start)
     return best
 
 
@@ -143,8 +140,10 @@ def test_queue_overhead_small_corpus(bench_timings):
         _run(records, "queue", BENCH_WORKERS),
         _run(records, "inline", BENCH_WORKERS),
     )
-    inline = best_time(lambda: _run(records, "inline", BENCH_WORKERS))
-    queue = best_time(lambda: _run(records, "queue", BENCH_WORKERS))
+    inline, queue = best_times(
+        lambda: _run(records, "inline", BENCH_WORKERS),
+        lambda: _run(records, "queue", BENCH_WORKERS),
+    )
     overhead = queue / inline
     print(
         f"\nqueue overhead over {len(records):,} records / 8 sites: "
@@ -173,8 +172,10 @@ def test_queue_speedup_large_corpus(bench_timings):
     _assert_parity(
         _run(records, "queue", BENCH_WORKERS), _run(records, "inline", 1)
     )
-    sequential = best_time(lambda: _run(records, "inline", 1))
-    queued = best_time(lambda: _run(records, "queue", BENCH_WORKERS))
+    sequential, queued = best_times(
+        lambda: _run(records, "inline", 1),
+        lambda: _run(records, "queue", BENCH_WORKERS),
+    )
     speedup = sequential / queued
     gate = "enforced" if ENFORCE_SPEEDUP else (
         f"advisory ({usable_cores()} cores, CI={bool(os.environ.get('CI'))})"

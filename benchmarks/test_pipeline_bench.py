@@ -25,6 +25,7 @@ import random
 import time
 
 from repro.bots.profiles import build_profiles
+from repro.distributed.coordinator import usable_cores
 from repro.logs.schema import LogRecord
 from repro.observatory import RobotsObservatory
 from repro.pipeline import PipelineConfig, build_study_pipeline
@@ -36,13 +37,6 @@ from repro.simulation import quick_scenario
 MIN_SPEEDUP = 2.0
 
 BENCH_JOBS = 4
-
-
-def usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 #: Hard gate only off-CI and with enough cores for 4 real workers.

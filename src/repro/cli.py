@@ -150,9 +150,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help=(
-            "local queue workers, this process included, capped at the "
-            "usable CPUs (default: --jobs; 0 relies on externally "
-            "started workers)"
+            "local queue workers, this process included (a task that "
+            "crashes it ends the run), capped at the usable CPUs "
+            "(default: --jobs; 0 relies on externally started workers)"
         ),
     )
     analyze.add_argument(
@@ -421,8 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help=(
-            "local queue workers, this process included, capped at the "
-            "usable CPUs (default: --jobs)"
+            "local queue workers, this process included (a task that "
+            "crashes it ends the run), capped at the usable CPUs "
+            "(default: --jobs)"
         ),
     )
     scenarios.add_argument(

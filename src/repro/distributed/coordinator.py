@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import threading
 import time
 from collections.abc import Callable, Sequence
 from contextlib import contextmanager
@@ -56,6 +57,7 @@ __all__ = [
     "QueueCoordinator",
     "local_worker_pool",
     "run_sharded_queue",
+    "usable_cores",
 ]
 
 #: A task may be claimed-and-lost this many times before the run aborts.
@@ -116,22 +118,24 @@ class QueueCoordinator:
         self,
         order: list[str],
         stage: str = "stage",
-        wake=None,
         serve: bool = False,
+        wake=None,
     ) -> list[object]:
         """Wait for the :meth:`submit`-ted tasks; results align with ``order``.
 
-        ``wake`` is an optional semaphore that workers release after
-        each task (see :func:`local_worker_pool`); it ends a wait early
-        so a finished result is collected at once.  With ``serve`` the
-        coordinator runs pending tasks itself instead of idling, through
-        the same claim/lease/publish/ack steps as any worker
-        (:func:`~repro.distributed.worker.process_one`).  A task it runs
-        holds up reaping and the timeout check until it returns.
+        With ``serve`` the coordinator runs pending tasks itself instead
+        of idling, through the same claim/lease/publish/ack steps as any
+        worker (:func:`~repro.distributed.worker.process_one`), in a
+        daemon thread it waits on only until the run's deadline.  A task
+        still running then is left to finish in that thread; its lease
+        stays alive until it does or the process exits.  ``wake`` is an
+        optional semaphore that workers release after each task (see
+        :func:`local_worker_pool`); it ends a wait early so a finished
+        result is collected at once.
         """
         if not order:
             return []
-        outcomes = self._watch(set(order), stage, wake, serve)
+        outcomes = self._watch(set(order), stage, serve, wake)
         results: list[object] = []
         served: set[str] = set()
         for task_id in order:
@@ -146,7 +150,7 @@ class QueueCoordinator:
         return results
 
     def _watch(
-        self, wanted: set[str], stage: str, wake=None, serve: bool = False
+        self, wanted: set[str], stage: str, serve: bool = False, wake=None
     ) -> dict[str, object]:
         """Poll until every wanted task has a verified result."""
         worker_id = default_worker_id()
@@ -155,9 +159,9 @@ class QueueCoordinator:
         deadline = (
             None if self.timeout is None else time.monotonic() + self.timeout
         )
-        # A ``wake`` can end a wait early, but the reaper keeps the
-        # ``poll`` cadence: a fresh claim is lease-less for a moment,
-        # and reaping on every wake would requeue live work.
+        # Serving or a ``wake`` ends a wait early, but the reaper keeps
+        # the ``poll`` cadence: a fresh claim is lease-less for a moment,
+        # and reaping on every pass would requeue a helper's live work.
         last_reap = time.monotonic()
         while True:
             for task_id in sorted(wanted - set(outcomes)):
@@ -192,10 +196,8 @@ class QueueCoordinator:
                     f"{'…' if len(missing) > 3 else ''} — are any workers "
                     "serving this spool?"
                 )
-            ran = serve and process_one(
-                self.spool, worker_id, ttl=self.lease_ttl
-            )
-            if ran:
+            ran = self._serve_one(worker_id, deadline) if serve else None
+            if ran is not None:
                 task_id, outcome = ran
                 if task_id in wanted and outcome and outcome[0] == "ok":
                     # Published already; no need to read it back.
@@ -207,6 +209,27 @@ class QueueCoordinator:
                 # One pass collects every task finished so far.
                 while wake.acquire(False):
                     pass
+
+    def _serve_one(self, worker_id: str, deadline: float | None):
+        """Run one pending task here; ``None`` when none is pending.
+
+        Otherwise the task id and outcome from
+        :func:`~repro.distributed.worker.process_one`, or ``("", None)``
+        when the call raised or is still running at ``deadline`` (the
+        caller's next deadline check then ends the run).
+        """
+        ran: list = []
+        server = threading.Thread(
+            target=lambda: ran.append(
+                process_one(self.spool, worker_id, ttl=self.lease_ttl)
+            ),
+            daemon=True,
+        )
+        server.start()
+        server.join(
+            None if deadline is None else max(0.0, deadline - time.monotonic())
+        )
+        return ran[0] if ran else ("", None)
 
     def _reap(
         self,
@@ -246,16 +269,15 @@ def local_worker_pool(
     poll: float = DEFAULT_POLL,
     done=None,
 ):
-    """``workers`` local helper processes serving ``spool_dir``.
+    """``workers`` local worker processes serving ``spool_dir``.
 
-    Each process exits as soon as it finds no pending task, so enqueue
-    before the pool starts; the coordinator, which serves the spool
-    itself, runs whatever is requeued after that.  A multiprocessing
-    event stops the processes that are still working when the context
-    exits, which returns once every process has left its worker loop
-    (or died).  They are daemons: a crashed coordinator cannot leak
-    workers.  ``done``, when given, is a multiprocessing semaphore each
-    worker releases after every task.
+    The processes run until the context exits (a multiprocessing event
+    is their stop signal), so one pool can serve several successive
+    stage maps against the same spool.  Exiting the context returns
+    once every process has left its worker loop (or died), without
+    waiting for the process exit itself.  They are daemons: a crashed
+    coordinator cannot leak workers.  ``done``, when given, is a
+    multiprocessing semaphore each worker releases after every task.
     """
     if workers <= 0:
         yield []
@@ -302,7 +324,6 @@ def _pool_worker(
             FilesystemSpool(spool_dir),
             ttl=lease_ttl,
             poll=poll,
-            max_idle=0.0,
             stop=stop,
             done=done,
         )
@@ -341,7 +362,10 @@ def run_sharded_queue(
             it serves the spool itself and starts the others as
             processes, never more local workers in all than there are
             tasks or usable CPUs; ``0`` relies entirely on externally
-            started workers.
+            started workers.  The coordinator runs its tasks in this
+            process, so a task that crashes the process (a segfault,
+            ``os._exit``) ends the run; use ``0`` and standalone
+            workers to keep tasks out of it.
         stage: stage name folded into task ids (and error messages).
         lease_ttl / poll / timeout / max_attempts: see
             :class:`QueueCoordinator`.
@@ -367,5 +391,5 @@ def run_sharded_queue(
         spool, local - 1, lease_ttl=lease_ttl, poll=poll, done=done
     ):
         return coordinator.collect(
-            order, stage=stage, wake=done, serve=workers > 0
+            order, stage=stage, serve=workers > 0, wake=done
         )

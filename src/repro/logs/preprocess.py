@@ -14,13 +14,12 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import starmap
 
 from ..asn.whois import WhoisClient
 from ..uaparse.categories import BotCategory
 from ..uaparse.registry import BotRegistry, default_registry
 from .columnar import RecordBatch
-from .schema import LogRecord, _field_values
+from .schema import LogRecord
 
 #: Request-path fragments typical of vulnerability scanners.  An IP
 #: hash whose traffic is dominated by these is screened out, which is
@@ -238,31 +237,6 @@ class ShardPreprocess:
     totals: Counter[str]
     probes: Counter[str]
     resolved_asns: set[int]
-
-    def __reduce__(self):
-        # Process and queue executors ship this back from workers; rows
-        # as plain field tuples pickle ~2x faster than one reduce per
-        # record.
-        return (
-            _shard_from_rows,
-            (
-                list(map(_field_values, self.records)),
-                self.input_records,
-                self.totals,
-                self.probes,
-                self.resolved_asns,
-            ),
-        )
-
-
-def _shard_from_rows(rows, input_records, totals, probes, resolved_asns):
-    return ShardPreprocess(
-        list(starmap(LogRecord, rows)),
-        input_records,
-        totals,
-        probes,
-        resolved_asns,
-    )
 
 
 def preprocess_shard(

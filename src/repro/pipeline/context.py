@@ -74,9 +74,13 @@ class PipelineConfig:
         workers: local workers of the ``queue`` executor for each
             shard map, the coordinator included: it serves the spool
             itself and spawns the others, never more in all than the
-            map's tasks or the usable CPUs.  ``None`` (default) mirrors
-            ``jobs``; ``0`` spawns none, serves nothing and relies
-            entirely on externally started workers serving the spool.
+            map's tasks or the usable CPUs.  A task the coordinator
+            runs shares this process: the run's timeout still ends the
+            run if that task hangs, but a task that crashes the process
+            ends the run too.
+            ``None`` (default) mirrors ``jobs``; ``0`` spawns none,
+            serves nothing and relies entirely on externally started
+            workers serving the spool.
     """
 
     jobs: int = 1

@@ -27,7 +27,6 @@ from repro.distributed import (
     Lease,
     QueueCoordinator,
     SpoolBackend,
-    local_worker_pool,
     run_sharded_queue,
     task_id_for,
 )
@@ -45,6 +44,14 @@ def doubler(xs):
 
 def exploder(_xs):
     raise ValueError("shard worker went boom")
+
+
+SLEEPER_S = 2.0
+
+
+def sleeper(xs):
+    time.sleep(SLEEPER_S)
+    return xs
 
 
 # -- blob framing ---------------------------------------------------------
@@ -391,6 +398,22 @@ class TestCoordinator:
                 timeout=0.2,
             )
 
+    def test_timeout_bounds_a_task_the_coordinator_runs(self, tmp_path):
+        # workers=1 forks no helper: the coordinator runs the hung task
+        # itself, and the run still ends at its timeout.
+        start = time.monotonic()
+        with pytest.raises(DistributedError, match="timed out"):
+            run_sharded_queue(
+                sleeper,
+                [[1]],
+                spool=tmp_path / "spool",
+                workers=1,
+                stage="map",
+                poll=0.01,
+                timeout=0.2,
+            )
+        assert time.monotonic() - start < SLEEPER_S
+
     def test_reap_requeues_expired_lease(self, tmp_path):
         spool = FilesystemSpool(tmp_path / "spool")
         task_id, blob = task_id_for("map", doubler, [5])
@@ -422,8 +445,7 @@ class TestCoordinator:
         assert len(done) == 2
 
     def test_serving_coordinator_reruns_a_dead_workers_task(self, tmp_path):
-        # Pool helpers leave once the queue is empty; a task the reaper
-        # requeues afterwards is the coordinator's to run.
+        # A task the reaper requeues is the coordinator's to run too.
         spool = FilesystemSpool(tmp_path / "spool")
         coordinator = QueueCoordinator(
             spool, lease_ttl=0.2, poll=0.01, timeout=10.0
@@ -464,11 +486,6 @@ class TestCoordinator:
         # The coordinator is one of the local workers: 8 is capped to
         # the 2 cores, so one helper process; 1 means none at all.
         assert helpers == [1, 0]
-
-    def test_idle_pool_worker_exits_before_the_pool_closes(self, tmp_path):
-        with local_worker_pool(tmp_path / "spool", 1, poll=30.0) as processes:
-            processes[0].join(timeout=30.0)
-            assert processes[0].exitcode == 0
 
 
 # -- config validation ----------------------------------------------------
